@@ -1,8 +1,8 @@
 // Command bench is the repository's continuous benchmark harness: it runs a
-// pinned set of query scenarios — C-dataflow and LTS workloads across the
-// paper's algorithm variants, both table representations, and sequential vs.
-// parallel solving — and emits a schema-versioned JSON report (BENCH_*.json)
-// whose deterministic solver counters are machine-comparable across commits.
+// pinned set of query scenarios — C-dataflow, LTS, and real-Go workloads
+// across the paper's algorithm variants and both table representations — and
+// emits a schema-versioned JSON report (BENCH_*.json) whose deterministic
+// solver counters are machine-comparable across commits.
 //
 // Usage:
 //
@@ -140,8 +140,8 @@ const (
 var gofrontBuildNS int64
 
 // scenarios returns the pinned matrix: the C-dataflow workload across the
-// sequential variants and both table kinds, parallel runs at 4 workers, the
-// LTS deadlock workload, and the universal algorithms.
+// sequential variants and both table kinds, the LTS deadlock workload, the
+// universal algorithms, and the gofront real-Go workload.
 func scenarios() []scenario {
 	deadlock, err := queries.ByName("lts-deadlock")
 	if err != nil {
@@ -154,11 +154,8 @@ func scenarios() []scenario {
 		{"prog-bwd/precomp/hash/w1", "prog-bwd", "exist", bwdUninitPattern, core.AlgoPrecomp, subst.Hash, 1},
 		{"prog-bwd/precomp/nested/w1", "prog-bwd", "exist", bwdUninitPattern, core.AlgoPrecomp, subst.Nested, 1},
 		{"prog-fwd/enum/hash/w1", "prog-fwd", "exist", fwdUninitPattern, core.AlgoEnum, subst.Hash, 1},
-		{"prog-bwd/basic/hash/w4", "prog-bwd", "exist", bwdUninitPattern, core.AlgoBasic, subst.Hash, 4},
-		{"prog-bwd/memo/hash/w4", "prog-bwd", "exist", bwdUninitPattern, core.AlgoMemo, subst.Hash, 4},
 		{"lts-deadlock/basic/hash/w1", "lts", "exist", deadlock.Pattern, core.AlgoBasic, subst.Hash, 1},
 		{"lts-deadlock/precomp/hash/w1", "lts", "exist", deadlock.Pattern, core.AlgoPrecomp, subst.Hash, 1},
-		{"lts-deadlock/memo/hash/w4", "lts", "exist", deadlock.Pattern, core.AlgoMemo, subst.Hash, 4},
 		{"univ-fwd/enum/hash/w1", "univ-fwd", "universal", fwdUninitPattern, core.AlgoEnum, subst.Hash, 1},
 		{"univ-fwd/hybrid/hash/w1", "univ-fwd", "universal", fwdUninitPattern, core.AlgoHybrid, subst.Hash, 1},
 		// Real-Go workload: the committed multi-package benchmod module
@@ -418,8 +415,8 @@ func runScenario(sc scenario, wl workloadGraph, n int) scenarioResult {
 }
 
 // counters extracts the deterministic counter set: identical on every
-// machine and — for the parallel solver — under any scheduling. Timing,
-// byte, and cache-split counters are deliberately excluded.
+// machine and under any scheduling. Timing, byte, and cache-split counters
+// are deliberately excluded.
 func counters(res *core.Result) map[string]int64 {
 	c := map[string]int64{
 		"worklist_inserts": int64(res.Stats.WorklistInserts),

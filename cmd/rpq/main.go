@@ -74,7 +74,7 @@ func main() {
 		jsonOut   = flag.Bool("json", false, "emit answers as JSON")
 		dotOut    = flag.Bool("dot", false, "emit the graph as Graphviz DOT with answers highlighted, instead of listing answers")
 		witness   = flag.Bool("witness", false, "attach a witnessing path to each existential answer")
-		workers   = flag.Int("workers", 1, "goroutines for the existential solver (<=1 sequential)")
+		workers   = flag.Int("workers", 1, "enumeration fan-out goroutines, clamped to GOMAXPROCS (<=1 sequential; other algorithms are always sequential)")
 		list      = flag.Bool("list", false, "list the analysis catalog and exit")
 		estimate  = flag.Bool("estimate", false, "print the Figure 2 complexity report and query advice, then run")
 		maxPrint  = flag.Int("n", 0, "print at most n answers (0 = all)")

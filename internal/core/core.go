@@ -117,14 +117,15 @@ type Options struct {
 	// (Section 5.3). Existential only; universal queries quantify over all
 	// paths, so compaction would change their meaning.
 	Compact bool
-	// Workers sets the number of goroutines the existential solver uses;
-	// values <= 1 select the sequential algorithms. The parallel solver
-	// returns the same sorted Pairs (and the same WorklistInserts,
-	// ReachSize, Substs, ResultPairs, and DeterminismOK) as the sequential
-	// one; PeakTriples, Bytes, and the match-call/cache counters become
-	// approximate, and witness paths may differ while remaining valid. See
-	// exist_parallel.go. Universal queries ignore it except through
-	// AlgoHybrid's inner existential pass.
+	// Workers fans the existential enumeration algorithm (AlgoEnum) out
+	// over that many goroutines, clamped to GOMAXPROCS and to the number of
+	// full substitutions; each runs independent ground passes, and the
+	// sorted Pairs and deterministic stats equal the sequential run's.
+	// Values <= 1 run sequentially. The worklist algorithms (basic, memo,
+	// precomp) are always sequential and ignore Workers, so their results,
+	// stats, and witnesses are exact for any value. Universal queries
+	// ignore it too, including AlgoHybrid's inner existential pass (which
+	// runs AlgoMemo).
 	Workers int
 	// Witnesses records, for each existential answer, one path from the
 	// start vertex witnessing it (the error trace). Costs parent pointers
@@ -155,9 +156,8 @@ type Options struct {
 	Deadline time.Duration
 	// Progress, when non-nil, receives throttled live snapshots of the
 	// running query (one every few hundred worklist pops, mirroring the
-	// gauge cadence). Parallel workers invoke it concurrently, so the
-	// callback must be safe for concurrent use; it should also be cheap —
-	// it runs on the solver's hot path.
+	// gauge cadence). It is invoked from one goroutine at a time and should
+	// be cheap — it runs on the solver's hot path.
 	Progress func(Progress)
 
 	// cxl is the cancellation watcher installed by ExistContext/UnivContext;
@@ -166,16 +166,14 @@ type Options struct {
 }
 
 // Progress is one live snapshot of a running query, delivered to
-// Options.Progress. Figures from parallel runs are sums of per-worker
-// published counters and may trail the true totals by up to one sample
-// interval per worker.
+// Options.Progress. Snapshots from the enumeration fan-out come from its
+// producer and carry only Phase, EnumSubsts, and Workers.
 type Progress struct {
 	// Phase is the phase the snapshot was taken in ("solve", "enumerate").
 	Phase string `json:"phase"`
 	// Pops counts worklist pops (triples processed) so far.
 	Pops int64 `json:"pops"`
-	// WorklistDepth is the current depth of the worklist (summed across
-	// workers for parallel runs).
+	// WorklistDepth is the current depth of the worklist.
 	WorklistDepth int64 `json:"worklist_depth"`
 	// Reach is the current reach-set size.
 	Reach int64 `json:"reach_size"`

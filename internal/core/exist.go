@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
+	"time"
 
 	"rpq/internal/automata"
 	"rpq/internal/graph"
@@ -42,8 +45,8 @@ func Exist(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, error) {
 // either fires, the worklist loops stop at the next check and the run
 // returns an InterruptError wrapping ErrCanceled or ErrDeadline, carrying
 // the statistics — and, under Options.Explain, the profile — accumulated so
-// far. Parallel workers drain and join before the error returns; no
-// goroutines outlive the call.
+// far. Enumeration fan-out workers drain and join before the error
+// returns; no goroutines outlive the call.
 func ExistContext(ctx context.Context, g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, error) {
 	if int(v0) >= g.NumVertices() || v0 < 0 {
 		return nil, fmt.Errorf("core: start vertex %d out of range", v0)
@@ -73,14 +76,9 @@ func ExistContext(ctx context.Context, g *graph.Graph, v0 int32, q *Query, opts 
 	t0 := in.phaseBegin("solve")
 	var res *Result
 	var err error
-	switch {
-	case opts.Algo == AlgoEnum && opts.Workers > 1:
-		res, err = existEnumParallel(g, v0, q, opts)
-	case opts.Algo == AlgoEnum:
+	if opts.Algo == AlgoEnum {
 		res, err = existEnum(g, v0, q, opts)
-	case opts.Workers > 1:
-		res, err = existParallel(g, v0, q, opts)
-	default:
+	} else {
 		res, err = existWorklist(g, v0, q, opts)
 	}
 	if err != nil {
@@ -125,7 +123,7 @@ type mtsEntry struct {
 // (3)): for every reachable ⟨v, s⟩ pair (packed v*states+s), the match
 // results of its outgoing (edge, transition) combinations, ignoring
 // substitution feasibility. Callers validate |V|·|S| against maxDenseBase
-// first (existWorklist via newTripleSet, existParallel explicitly).
+// first (existWorklist does, via newTripleSet).
 func buildMTS(e *engine, v0 int32) ([][]mtsEntry, int64) {
 	g, nfa := e.g, e.auto
 	states := nfa.NumStates
@@ -179,15 +177,13 @@ type parentStep struct {
 // parent pointers from each origin triple back to the seed (which has no
 // parent entry). Each step matched under a subset of the final
 // substitution, and matching is closed under extension, so the whole path
-// matches under the answer's substitution. lookup abstracts over the single
-// parent map of the sequential solver and the per-worker maps of the
-// parallel one.
-func attachWitnesses(pairs []Pair, origins []triple, lookup func(triple) (parentStep, bool)) {
+// matches under the answer's substitution.
+func attachWitnesses(pairs []Pair, origins []triple, parents map[triple]parentStep) {
 	for i := range pairs {
 		var rev []WitnessStep
 		cur := origins[i]
 		for {
-			ps, ok := lookup(cur)
+			ps, ok := parents[cur]
 			if !ok {
 				break
 			}
@@ -369,10 +365,7 @@ func existWorklist(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, e
 	}
 
 	if parents != nil {
-		attachWitnesses(pairs, origins, func(t triple) (parentStep, bool) {
-			ps, ok := parents[t]
-			return ps, ok
-		})
+		attachWitnesses(pairs, origins, parents)
 	}
 
 	stats.ReachSize = seen.Len()
@@ -511,6 +504,10 @@ func (es *enumState) run(g *graph.Graph, v0 int32, nfa *automata.NFA, th subst.S
 // the parameter domains, instantiate the pattern and run a parameter-free
 // reachability product. Slower (work scales with |G| × substs) but with far
 // smaller memory, per Section 4 ("Nondeterminism") and Table 3.
+//
+// With Options.Workers > 1 the independent ground passes fan out across
+// enumWorkers goroutines (existEnumParallel); the answers and deterministic
+// stats are the sequential ones.
 func existEnum(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, error) {
 	if opts.Compact {
 		g = g.CompactFor(q.NFA.Labels)
@@ -523,6 +520,9 @@ func existEnum(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, error
 	doms := ComputeDomains(q, g, opts.Domains)
 	stats.Phases.Domains.Wall = in.phaseEnd("domains", tDoms)
 	stats.EnumSubsts = doms.Count()
+	if w := enumWorkers(opts.Workers, stats.EnumSubsts); w > 1 {
+		return existEnumParallel(g, v0, q, opts, in, doms, stats, w)
+	}
 
 	es, err := newEnumState(g, nfa)
 	if err != nil {
@@ -585,6 +585,155 @@ func existEnum(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, error
 	if ex != nil {
 		ex.groundRuns = enumerated
 		res.Explain = ex.report(q, g, opts.Algo, "nfa")
+	}
+	return res, nil
+}
+
+// enumWorkers is the enumeration fan-out width: the requested Workers,
+// clamped to the usable CPUs and to the number of full substitutions. Each
+// worker owns a |V|·|S| scratch array, so an unclamped request width would
+// let one query allocate without bound.
+func enumWorkers(requested, substs int) int {
+	return min(requested, runtime.GOMAXPROCS(0), substs)
+}
+
+// existEnumParallel fans the enumeration algorithm out over full
+// substitutions: a producer enumerates the domain product while W workers
+// run the independent ground reachability passes, each with its own
+// epoch-reset scratch. Sorted Pairs and the deterministic stats match the
+// sequential existEnum; Bytes sums the per-worker scratch (W arrays are
+// really allocated). stats arrives carrying the domain phase.
+func existEnumParallel(g *graph.Graph, v0 int32, q *Query, opts Options, in instr, doms subst.Domains, stats Stats, W int) (*Result, error) {
+	nfa := q.NFA
+	states := make([]*enumState, W)
+	for i := range states {
+		es, err := newEnumState(g, nfa)
+		if err != nil {
+			return nil, err
+		}
+		states[i] = es
+	}
+
+	const enumBatchSize = 16
+	work := make(chan []subst.Subst, 2*W)
+	type wres struct {
+		pairs    []Pair
+		stats    Stats
+		maxBytes int64
+		busy     time.Duration
+	}
+	results := make([]wres, W)
+	var exBase *explainCollector
+	exW := make([]*explainCollector, W)
+	if opts.Explain {
+		exBase = newExplainCollector(nfa, g.NumLabels())
+		for i := range exW {
+			exW[i] = exBase.fork()
+		}
+	}
+
+	tEnum := in.phaseBegin("enumerate")
+	var wg sync.WaitGroup
+	wg.Add(W)
+	for i := 0; i < W; i++ {
+		go func(i int, es *enumState) {
+			defer wg.Done()
+			r := &results[i]
+			resHere := map[int32]bool{}
+			for batch := range work {
+				var t0 time.Time
+				if exBase != nil {
+					t0 = time.Now() //rpqvet:allow timenow (gated by explain mode, once per batch)
+				}
+				for _, th := range batch {
+					// Draining the remaining batches without running them
+					// lets the producer's sends complete, so close(work)
+					// and the join below cannot deadlock on cancel.
+					if opts.cxl.state() != cxlRunning {
+						break
+					}
+					clear(resHere)
+					if !es.run(g, v0, nfa, th, resHere, &r.stats, exW[i], opts.cxl) {
+						break
+					}
+					for v := range resHere {
+						r.pairs = append(r.pairs, Pair{Vertex: v, Subst: th})
+					}
+					if b := es.bytes() + int64(len(resHere))*16; b > r.maxBytes {
+						r.maxBytes = b
+					}
+				}
+				if exBase != nil {
+					r.busy += time.Since(t0)
+				}
+			}
+		}(i, states[i])
+	}
+	var batch []subst.Subst
+	enumerated := 0
+	subst.ForEachFull(q.Pars(), doms, func(th subst.Subst) bool {
+		if opts.cxl.state() != cxlRunning {
+			return false
+		}
+		if enumerated++; in.gauges != nil {
+			in.gauges.EnumSubsts.Set(int64(enumerated))
+		}
+		if p := opts.Progress; p != nil {
+			p(Progress{Phase: "enumerate", EnumSubsts: int64(enumerated), Workers: W})
+		}
+		batch = append(batch, th.Clone())
+		if len(batch) >= enumBatchSize {
+			work <- batch
+			batch = nil
+		}
+		return true
+	})
+	if len(batch) > 0 {
+		work <- batch
+	}
+	close(work)
+	wg.Wait()
+	stats.Phases.Enumerate.Wall = in.phaseEnd("enumerate", tEnum)
+
+	var pairs []Pair
+	var maxBytes int64
+	var profiles []WorkerProfile
+	for i := range results {
+		r := &results[i]
+		pairs = append(pairs, r.pairs...)
+		stats.WorklistInserts += r.stats.WorklistInserts
+		stats.MatchCalls += r.stats.MatchCalls
+		if r.stats.PeakTriples > stats.PeakTriples {
+			stats.PeakTriples = r.stats.PeakTriples
+		}
+		maxBytes += r.maxBytes
+		if exBase != nil {
+			exBase.merge(exW[i])
+			profiles = append(profiles, WorkerProfile{
+				ID: i, Processed: int64(r.stats.WorklistInserts), Busy: r.busy,
+			})
+		}
+	}
+	stats.ReachSize = stats.WorklistInserts
+	stats.ResultPairs = len(pairs)
+	stats.Bytes = maxBytes + pairsBytes(len(pairs), q.Pars())
+	if opts.cxl.state() != cxlRunning {
+		stats.EnumSubsts = enumerated
+		var exRep *Explain
+		if exBase != nil {
+			exBase.groundRuns = enumerated
+			exRep = exBase.report(q, g, opts.Algo, "nfa")
+			exRep.Workers = profiles
+		}
+		return nil, opts.cxl.interrupt(stats, exRep)
+	}
+	sortPairs(pairs)
+	res := &Result{Pairs: pairs, Stats: stats}
+	if exBase != nil {
+		exBase.groundRuns = enumerated
+		rep := exBase.report(q, g, opts.Algo, "nfa")
+		rep.Workers = profiles
+		res.Explain = rep
 	}
 	return res, nil
 }

@@ -14,9 +14,9 @@ import (
 // is set: the compiled automaton annotated with per-state visit counts and
 // per-transition match attempt/hit/extension counters, a per-edge-label
 // match histogram, substitution-table growth samples, worklist depth
-// samples, and — for parallel runs — per-worker summaries. It marshals to
-// JSON; Format renders a text report and DOT a Graphviz rendering of the
-// annotated automaton.
+// samples, and — for enumeration fan-out runs — per-worker summaries. It
+// marshals to JSON; Format renders a text report and DOT a Graphviz
+// rendering of the annotated automaton.
 type Explain struct {
 	// Algo is the algorithm variant that produced the profile.
 	Algo string `json:"algo"`
@@ -35,13 +35,13 @@ type Explain struct {
 	// Totals aggregates the profile for consistency checks against Stats.
 	Totals ExplainTotals `json:"totals"`
 	// TableCurve samples the substitution table's occupancy as it grows
-	// (power-of-two sizes, sequential runs) with a final end-of-run point.
+	// (power-of-two sizes) with a final end-of-run point.
 	TableCurve []TablePoint `json:"table_curve,omitempty"`
 	// DepthSamples is the worklist depth over time (by pop count), adaptively
 	// downsampled to a bounded number of points.
 	DepthSamples []DepthSample `json:"depth_samples,omitempty"`
-	// Workers summarizes each parallel-solver worker; empty for sequential
-	// runs.
+	// Workers summarizes each enumeration fan-out worker; empty for
+	// sequential runs.
 	Workers []WorkerProfile `json:"workers,omitempty"`
 	// GroundRuns counts the per-substitution ground automaton passes of the
 	// enumeration/hybrid algorithms.
@@ -116,13 +116,11 @@ type DepthSample struct {
 	Depth int   `json:"depth"`
 }
 
-// WorkerProfile summarizes one parallel-solver worker.
+// WorkerProfile summarizes one enumeration fan-out worker: the ground-pass
+// worklist inserts it processed and its busy time.
 type WorkerProfile struct {
 	ID        int           `json:"id"`
 	Processed int64         `json:"processed"`
-	Steals    int64         `json:"steals"`
-	Batches   int64         `json:"batches"`
-	BatchMsgs int64         `json:"batched_msgs"`
 	Busy      time.Duration `json:"busy_ns"`
 }
 
@@ -173,7 +171,7 @@ func (e *Explain) absorb(o *Explain) {
 //   - Attempts == MatchCalls + MatchCacheHits for every variant (every
 //     counted match lookup is one attempt, memoized or not);
 //   - Visits == WorklistInserts when no ground passes ran (each inserted
-//     element is popped exactly once, sequential or parallel);
+//     element is popped exactly once);
 //   - with ground passes (universal enumeration/hybrid), GroundPops <=
 //     WorklistInserts and Visits >= GroundPops (each pop is attributed to
 //     every NFA state of its subset).
@@ -497,8 +495,8 @@ func (e *Explain) Format() string {
 	if len(e.Workers) > 0 {
 		b.WriteString("\nworkers:\n")
 		for _, w := range e.Workers {
-			fmt.Fprintf(&b, "  w%-3d processed=%-9d steals=%-8d batches=%-6d batched_msgs=%-8d busy=%s\n",
-				w.ID, w.Processed, w.Steals, w.Batches, w.BatchMsgs, w.Busy.Round(time.Microsecond))
+			fmt.Fprintf(&b, "  w%-3d processed=%-9d busy=%s\n",
+				w.ID, w.Processed, w.Busy.Round(time.Microsecond))
 		}
 	}
 	return b.String()

@@ -5,41 +5,21 @@ import (
 	"testing"
 
 	"rpq/internal/gen"
-	"rpq/internal/graph"
 	"rpq/internal/pattern"
 )
 
-// benchProgram builds the shared benchmark workload: a generated program
-// graph with the backward uninitialized-uses query (the paper's Table 1
-// setting), which produces a large worklist with substitution churn.
-func benchProgram(b *testing.B, edges int) (*graph.Graph, int32, *Query) {
-	b.Helper()
-	g := gen.Program(gen.ProgSpec{
-		Name: "bench", Seed: 11, Edges: edges, Vars: 60, UninitFrac: 0.15,
-		UseSites: true, EntryLoop: true,
-	})
-	rg := g.Reverse()
-	for v := 0; v < g.NumVertices(); v++ {
-		for _, e := range g.Out(int32(v)) {
-			if e.Label.Format(g.U, nil) == "exit()" {
-				q := MustCompile(pattern.MustParse("_* use(x,l) (!def(x))* entry()"), rg.U)
-				return rg, e.To, q
-			}
-		}
-	}
-	b.Fatal("no exit() edge")
-	return nil, 0, nil
-}
-
-// BenchmarkExistWorkers measures the parallel solver against the sequential
-// one on the same workload; workers=1 is the sequential baseline.
+// BenchmarkExistWorkers measures the enumeration fan-out — the only path
+// Options.Workers changes — against the sequential enumeration on the
+// forward uninitialized-uses query over the "iburg" Table 1 program;
+// workers=1 is the sequential baseline.
 func BenchmarkExistWorkers(b *testing.B) {
-	g, start, q := benchProgram(b, 12_000)
-	for _, workers := range []int{1, 2, 4, 8} {
+	g := gen.Program(gen.Table1Specs()[6])
+	q := MustCompile(pattern.MustParse("(!def(x))* use(x,_)"), g.U)
+	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := Exist(g, start, q, Options{Algo: AlgoMemo, Workers: workers})
+				res, err := Exist(g, g.Start(), q, Options{Algo: AlgoEnum, Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -4,11 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"rpq/internal/gen"
 	"rpq/internal/graph"
-	"rpq/internal/obs"
 	"rpq/internal/pattern"
 	"rpq/internal/subst"
 )
@@ -109,11 +110,21 @@ func checkWitness(t *testing.T, g *graph.Graph, v0 int32, p Pair) {
 	}
 }
 
+// exactStats clears the fields of s that measure the machine rather than
+// the run (wall times, CPU time, allocation deltas), leaving every
+// deterministic counter.
+func exactStats(s Stats) Stats {
+	s.CPUTime, s.AllocBytes, s.Phases = 0, 0, PhaseTimings{}
+	return s
+}
+
 // TestParallelCrossCheck runs every existential algorithm with both table
 // kinds, SCC ordering on and off, and witnesses on and off, across the
-// randomized corpus, and requires the parallel solver (2 and 4 workers) to
-// return exactly the sequential solver's sorted pairs and deterministic
-// stats.
+// randomized corpus, at 2 and 4 workers against the sequential run. The
+// worklist algorithms ignore Workers, so their whole Result — pairs,
+// witness paths, every deterministic Stats counter, and the Explain
+// profile — must equal the sequential one. The enumeration fan-out must
+// return the sequential pairs and deterministic stats.
 func TestParallelCrossCheck(t *testing.T) {
 	for _, wl := range parCorpus(t) {
 		t.Run(wl.name, func(t *testing.T) {
@@ -125,7 +136,7 @@ func TestParallelCrossCheck(t *testing.T) {
 							if algo == AlgoEnum && (scc || wit) {
 								continue // enumeration ignores both
 							}
-							opts := Options{Algo: algo, Table: tk, SCCOrder: scc, Witnesses: wit}
+							opts := Options{Algo: algo, Table: tk, SCCOrder: scc, Witnesses: wit, Explain: wit}
 							name := fmt.Sprintf("%v/%v/scc=%v/wit=%v", algo, tk, scc, wit)
 							ref, err := Exist(wl.g, wl.start, q, opts)
 							if err != nil {
@@ -143,13 +154,27 @@ func TestParallelCrossCheck(t *testing.T) {
 									t.Fatalf("%s workers=%d pairs differ\nsequential:\n%s\nparallel:\n%s",
 										name, workers, refPairs, got)
 								}
-								if res.Stats.WorklistInserts != ref.Stats.WorklistInserts ||
-									res.Stats.ReachSize != ref.Stats.ReachSize ||
-									res.Stats.Substs != ref.Stats.Substs ||
-									res.Stats.ResultPairs != ref.Stats.ResultPairs ||
-									res.Stats.DeterminismOK != ref.Stats.DeterminismOK {
-									t.Fatalf("%s workers=%d deterministic stats differ\nsequential: %+v\nparallel:   %+v",
-										name, workers, ref.Stats, res.Stats)
+								if algo == AlgoEnum {
+									if res.Stats.WorklistInserts != ref.Stats.WorklistInserts ||
+										res.Stats.ReachSize != ref.Stats.ReachSize ||
+										res.Stats.MatchCalls != ref.Stats.MatchCalls ||
+										res.Stats.EnumSubsts != ref.Stats.EnumSubsts ||
+										res.Stats.ResultPairs != ref.Stats.ResultPairs ||
+										res.Stats.DeterminismOK != ref.Stats.DeterminismOK {
+										t.Fatalf("%s workers=%d deterministic stats differ\nsequential: %+v\nparallel:   %+v",
+											name, workers, ref.Stats, res.Stats)
+									}
+									continue
+								}
+								if got, want := exactStats(res.Stats), exactStats(ref.Stats); got != want {
+									t.Fatalf("%s workers=%d stats differ\nsequential: %+v\nworkers:    %+v",
+										name, workers, want, got)
+								}
+								if !reflect.DeepEqual(res.Pairs, ref.Pairs) {
+									t.Fatalf("%s workers=%d pairs or witness paths differ", name, workers)
+								}
+								if !reflect.DeepEqual(res.Explain, ref.Explain) {
+									t.Fatalf("%s workers=%d explain profiles differ", name, workers)
 								}
 								if wit {
 									for _, p := range res.Pairs {
@@ -165,56 +190,32 @@ func TestParallelCrossCheck(t *testing.T) {
 	}
 }
 
-// TestParallelManyWorkers exercises the degenerate shapes: more workers than
-// vertices, and a single-vertex graph.
-func TestParallelManyWorkers(t *testing.T) {
-	g := graph.MustReadString(`
-start v0
-edge v0 def(a) v1
-edge v1 use(a) v2
-`)
-	q := MustCompile(pattern.MustParse("_* use(x)"), g.U)
-	ref, err := Exist(g, g.Start(), q, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{3, 16, 64} {
-		res, err := Exist(g, g.Start(), q, Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Format(g, q) != ref.Format(g, q) {
-			t.Fatalf("workers=%d pairs differ", workers)
-		}
-	}
-	one := graph.New()
-	one.Vertex("v0")
-	one.SetStart(0)
-	q1 := MustCompile(pattern.MustParse("use(x)?"), one.U)
-	res, err := Exist(one, one.Start(), q1, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Pairs) != 1 || res.Pairs[0].Vertex != 0 {
-		t.Fatalf("single-vertex graph: %v", res.Pairs)
-	}
-}
-
-// TestParallelWorkerGauges checks a parallel run with gauges attached
-// exports the per-worker gauge set.
-func TestParallelWorkerGauges(t *testing.T) {
-	reg := obs.NewRegistry()
-	gauges := obs.NewSolverGauges(reg)
+// TestEnumWorkersClamped is the regression test for the unbounded
+// enumeration fan-out: each worker allocates a |V|·|S| scratch array, so a
+// request for thousands of workers must be clamped to the usable CPUs (and
+// the substitution count) while still returning the sequential answers.
+func TestEnumWorkersClamped(t *testing.T) {
 	wl := parCorpus(t)[0]
 	q := MustCompile(pattern.MustParse(wl.pat), wl.g.U)
-	if _, err := Exist(wl.g, wl.start, q, Options{Workers: 2, Gauges: gauges}); err != nil {
+	ref, err := Exist(wl.g, wl.start, q, Options{Algo: AlgoEnum})
+	if err != nil {
 		t.Fatal(err)
 	}
-	snap := reg.Snapshot()
-	for _, m := range []string{"rpq_worker_0_queue_depth", "rpq_worker_1_steals_total", "rpq_worker_1_batches_total"} {
-		if _, ok := snap[m]; !ok {
-			t.Errorf("metric %s not registered after a parallel run", m)
-		}
+	res, err := Exist(wl.g, wl.start, q, Options{Algo: AlgoEnum, Workers: 4096, Explain: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.Format(wl.g, q), ref.Format(wl.g, q); got != want {
+		t.Fatalf("pairs differ\nsequential:\n%s\nworkers=4096:\n%s", want, got)
+	}
+	if res.Stats.WorklistInserts != ref.Stats.WorklistInserts || res.Stats.EnumSubsts != ref.Stats.EnumSubsts {
+		t.Fatalf("deterministic stats differ\nsequential:   %+v\nworkers=4096: %+v", ref.Stats, res.Stats)
+	}
+	if n, max := len(res.Explain.Workers), runtime.GOMAXPROCS(0); n > max {
+		t.Fatalf("workers=4096 ran %d enumeration workers, want <= GOMAXPROCS (%d)", n, max)
+	}
+	if w := enumWorkers(4096, 3); w > 3 {
+		t.Fatalf("enumWorkers(4096, 3) = %d, want <= 3", w)
 	}
 }
 

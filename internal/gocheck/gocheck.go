@@ -25,7 +25,8 @@ import (
 type Options struct {
 	// Checks selects catalog checks by name; empty means all.
 	Checks []string
-	// Workers bounds both the parallel CFG fan-out and the solver pool.
+	// Workers bounds the parallel CFG fan-out; the checks' solves pass it
+	// on as rpq.Options.Workers.
 	Workers int
 	// IncludeTests also analyzes _test.go files.
 	IncludeTests bool

@@ -211,8 +211,8 @@ func fmtLabel(c *label.CTerm, g *graph.Graph) string {
 
 // Load parses the packages named by patterns and lowers them to a Program.
 // Each pattern is a directory, a directory with a /... suffix (recursive,
-// skipping testdata, vendor, and hidden/underscore directories), or a
-// single .go file.
+// skipping testdata, vendor, hidden/underscore directories, and nested
+// modules), or a single .go file.
 func Load(patterns []string, cfg Config) (*Program, error) {
 	files, err := discover(patterns, cfg)
 	if err != nil {
@@ -292,6 +292,13 @@ func skipDir(name string) bool {
 		strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")
 }
 
+// isModuleRoot reports whether dir holds its own go.mod. Like the go tool,
+// a /... pattern stops at nested module boundaries.
+func isModuleRoot(dir string) bool {
+	_, err := os.Stat(filepath.Join(dir, "go.mod"))
+	return err == nil
+}
+
 func discover(patterns []string, cfg Config) ([]string, error) {
 	var dirs []string
 	var files []string
@@ -318,7 +325,7 @@ func discover(patterns []string, cfg Config) ([]string, error) {
 				if !d.IsDir() {
 					return nil
 				}
-				if pth != root && skipDir(d.Name()) {
+				if pth != root && (skipDir(d.Name()) || isModuleRoot(pth)) {
 					return filepath.SkipDir
 				}
 				addDir(pth)

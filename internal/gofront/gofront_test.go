@@ -337,3 +337,31 @@ func Add(a, b int) (sum int) {
 		}
 	}
 }
+
+// TestDiscoverSkipsNestedModules pins the go tool's pattern semantics: a
+// /... walk covers the root's packages but stops at a subdirectory holding
+// its own go.mod.
+func TestDiscoverSkipsNestedModules(t *testing.T) {
+	root := t.TempDir()
+	write := func(rel, body string) {
+		t.Helper()
+		p := filepath.Join(root, rel)
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("go.mod", "module m\n")
+	write("a/a.go", "package a\n")
+	write("nested/go.mod", "module n\n")
+	write("nested/b.go", "package b\n")
+	files, err := discover([]string{root + "/..."}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 1 || filepath.Base(files[0]) != "a.go" {
+		t.Fatalf("discover = %v, want only a/a.go", files)
+	}
+}

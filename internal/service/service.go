@@ -55,8 +55,9 @@ type Config struct {
 	// findings reject a query with HTTP 400 before any solver work).
 	// Individual requests can also opt out with "no_lint": true.
 	DisableLint bool
-	// Workers is the default solver worker count applied to requests that
-	// do not set options.workers; 0 keeps the sequential solvers.
+	// Workers is the default enumeration fan-out width applied to requests
+	// that do not set options.workers; 0 keeps the sequential solvers. The
+	// core clamps any width to GOMAXPROCS.
 	Workers int
 	// MaxGraphBytes bounds a graph-load request body; <= 0 means 64 MiB.
 	MaxGraphBytes int64

@@ -216,6 +216,38 @@ func TestQueryKindsAndCacheStats(t *testing.T) {
 	}
 }
 
+// TestOversizedEnumWorkers is the guard for the enumeration fan-out width:
+// options.workers comes straight from the request body, and every fan-out
+// worker owns a |V|·|S| scratch array, so an absurd width must be clamped
+// (to GOMAXPROCS) rather than allocated, answering like a sequential run.
+func TestOversizedEnumWorkers(t *testing.T) {
+	s := newTestServer(t, Config{})
+	h := s.Handler()
+	query := func(workers int) QueryResponse {
+		t.Helper()
+		body := fmt.Sprintf(`{"graph":"g","pattern":"(!def(x))* use(x)","options":{"algorithm":"enum","workers":%d,"explain":true}}`, workers)
+		rec := doReq(h, "POST", "/api/v1/query", body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("workers=%d: %d %s", workers, rec.Code, rec.Body)
+		}
+		var qr QueryResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &qr); err != nil {
+			t.Fatal(err)
+		}
+		return qr
+	}
+	seq, wide := query(1), query(1_000_000)
+	if len(wide.Answers) == 0 || len(wide.Answers) != len(seq.Answers) {
+		t.Fatalf("workers=1000000 returned %d answers, sequential %d", len(wide.Answers), len(seq.Answers))
+	}
+	if wide.Explain == nil {
+		t.Fatal("explain requested but missing")
+	}
+	if n, max := len(wide.Explain.Workers), runtime.GOMAXPROCS(0); n > max {
+		t.Fatalf("workers=1000000 started %d enumeration workers, want <= GOMAXPROCS (%d)", n, max)
+	}
+}
+
 // TestLintGateRejects pins request validation: an error-severity pattern is
 // rejected with 400 and the RPQ0xx diagnostics as structured JSON, before
 // any solver work; "no_lint" opts the request out.

@@ -313,13 +313,15 @@ type Options struct {
 	// Witnesses attaches, to each existential answer, one start-to-vertex
 	// path witnessing it (an error trace). Worklist algorithms only.
 	Witnesses bool
-	// Workers sets the number of goroutines the existential solver uses;
-	// 0 or 1 selects the sequential algorithms. The parallel solver returns
-	// the same sorted answers, the same WorklistInserts, ReachSize, Substs,
-	// and ResultPairs as the sequential one; peak-memory and match-cache
-	// counters are approximate, and witnesses — while always valid — may
-	// pick different paths. Universal queries ignore Workers (their
-	// existential sub-queries in the hybrid algorithm do use it).
+	// Workers fans the existential Enumerate algorithm out over that many
+	// goroutines, each running independent per-substitution ground passes;
+	// the width is clamped to GOMAXPROCS and to the number of
+	// substitutions, and the answers and deterministic statistics equal the
+	// sequential run's. 0 or 1 runs sequentially. The worklist algorithms
+	// (Basic, Memo, Precompute) are always sequential and exact: Workers
+	// changes none of their answers, statistics, or witnesses. Universal
+	// queries ignore it, including the Hybrid algorithm's inner existential
+	// pass.
 	Workers int
 	// Tracer receives structured lifecycle events from the solver: phase
 	// begin/end, worklist high-water marks, substitution-table growth
@@ -337,8 +339,9 @@ type Options struct {
 	SlowLog *SlowLog
 	// Explain collects a per-query execution profile — per-state visit
 	// counts, per-transition match attempts/hits/extensions, per-edge-label
-	// histograms, table-occupancy and worklist-depth curves, and (parallel
-	// runs) per-worker timelines — returned in Result.Explain. Costs one
+	// histograms, table-occupancy and worklist-depth curves, and
+	// (enumeration fan-out runs) per-worker timelines — returned in
+	// Result.Explain. Costs one
 	// branch per counter site when off; expect a few percent overhead when
 	// on.
 	Explain bool
@@ -407,8 +410,8 @@ type TransProfile = core.TransProfile
 // report.
 type LabelProfile = core.LabelProfile
 
-// WorkerProfile is one parallel-solver worker's timeline summary within an
-// Explain report.
+// WorkerProfile is one enumeration fan-out worker's timeline summary within
+// an Explain report.
 type WorkerProfile = core.WorkerProfile
 
 // ---- Observability ----
@@ -752,7 +755,7 @@ type runState struct {
 // in-flight registry id), rpq_kind, variant (algorithm), table, and workers
 // — so CPU and goroutine profiles taken while queries run attribute their
 // samples to specific queries. Labels propagate to every goroutine the
-// solver spawns, covering parallel workers. Call it once per solver
+// solver spawns, covering enumeration fan-out workers. Call it once per solver
 // invocation; a re-run after an algorithm fallback gets fresh labels.
 func (rs *runState) do(ctx context.Context, co *core.Options, fn func(ctx context.Context)) {
 	labels := []string{
