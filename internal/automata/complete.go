@@ -28,17 +28,10 @@ func Complete(n *NFA) *NFA {
 		LabelID:   map[string]int32{},
 	}
 	copy(out.Final, n.Final)
-	addLabel := func(tl *label.CTerm) {
-		if _, ok := out.LabelID[tl.Key()]; !ok {
-			out.LabelID[tl.Key()] = int32(len(out.Labels))
-			out.Labels = append(out.Labels, tl)
-		}
-	}
 	for s := 0; s < n.NumStates; s++ {
 		var alts []*label.CTerm
 		for _, tr := range n.Trans[s] {
-			out.Trans[s] = append(out.Trans[s], tr)
-			addLabel(tr.Label)
+			out.AddTrans(int32(s), tr.Label, tr.To)
 			alts = append(alts, tr.Label)
 		}
 		var trapLabel *label.CTerm
@@ -48,12 +41,9 @@ func Complete(n *NFA) *NFA {
 		} else {
 			trapLabel = label.NegOr(alts...)
 		}
-		out.Trans[s] = append(out.Trans[s], Transition{Label: trapLabel, To: trap})
-		addLabel(trapLabel)
+		out.AddTrans(int32(s), trapLabel, trap)
 	}
-	wild := label.MustCompile(label.Wildcard(), nil, nil)
-	out.Trans[trap] = []Transition{{Label: wild, To: trap}}
-	addLabel(wild)
+	out.AddTrans(trap, label.MustCompile(label.Wildcard(), nil, nil), trap)
 	return out
 }
 
@@ -77,17 +67,10 @@ func CompleteExplicit(n *NFA, alphabet []*label.CTerm) *NFA {
 		LabelID:   map[string]int32{},
 	}
 	copy(out.Final, n.Final)
-	addLabel := func(tl *label.CTerm) {
-		if _, ok := out.LabelID[tl.Key()]; !ok {
-			out.LabelID[tl.Key()] = int32(len(out.Labels))
-			out.Labels = append(out.Labels, tl)
-		}
-	}
 	for s := 0; s <= n.NumStates; s++ {
 		if s < n.NumStates {
 			for _, tr := range n.Trans[s] {
-				out.Trans[s] = append(out.Trans[s], tr)
-				addLabel(tr.Label)
+				out.AddTrans(int32(s), tr.Label, tr.To)
 			}
 		}
 		for _, el := range alphabet {
@@ -101,8 +84,7 @@ func CompleteExplicit(n *NFA, alphabet []*label.CTerm) *NFA {
 				}
 			}
 			if !covered {
-				out.Trans[s] = append(out.Trans[s], Transition{Label: el, To: trap})
-				addLabel(el)
+				out.AddTrans(int32(s), el, trap)
 			}
 		}
 	}

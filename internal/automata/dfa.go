@@ -77,12 +77,7 @@ func Determinize(n *NFA) *NFA {
 				out.Trans = append(out.Trans, nil)
 				work = append(work, id)
 			}
-			l := labelOf[k].Label
-			out.Trans[cur] = append(out.Trans[cur], Transition{Label: l, To: id})
-			if _, ok := out.LabelID[l.Key()]; !ok {
-				out.LabelID[l.Key()] = int32(len(out.Labels))
-				out.Labels = append(out.Labels, l)
-			}
+			out.AddTrans(cur, labelOf[k].Label, id)
 		}
 	}
 	out.NumStates = len(sets)

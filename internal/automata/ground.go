@@ -85,7 +85,7 @@ func DeterminizeGround(n *NFA, alphabet []*label.CTerm, subst []int32) *GroundDF
 			var targets []int32
 			for _, s := range set {
 				for _, tr := range n.Trans[s] {
-					if matches[n.LabelID[tr.Label.Key()]][a] {
+					if matches[tr.LabelID][a] {
 						targets = append(targets, tr.To)
 					}
 				}

@@ -21,6 +21,9 @@ import (
 type Transition struct {
 	Label *label.CTerm
 	To    int32
+	// LabelID is the dense index of Label in the owning automaton's Labels,
+	// set by NFA.AddTrans so the solvers need no key lookup per match.
+	LabelID int32
 }
 
 // NFA is an ε-free nondeterministic finite automaton whose alphabet is
@@ -39,6 +42,24 @@ type NFA struct {
 	// (FromPattern or Determinize); the observability layer surfaces it in
 	// the compile phase of core.Stats.Phases.
 	BuildWall time.Duration
+}
+
+// AddTrans appends the transition from --l--> to, interning l into Labels
+// and LabelID and recording its dense index on the transition. Every
+// automaton constructor adds its transitions this way; the solvers rely on
+// Transition.LabelID.
+func (n *NFA) AddTrans(from int32, l *label.CTerm, to int32) {
+	k := l.Key()
+	id, ok := n.LabelID[k]
+	if !ok {
+		if n.LabelID == nil {
+			n.LabelID = map[string]int32{}
+		}
+		id = int32(len(n.Labels))
+		n.LabelID[k] = id
+		n.Labels = append(n.Labels, l)
+	}
+	n.Trans[from] = append(n.Trans[from], Transition{Label: l, To: to, LabelID: id})
 }
 
 // NumTrans returns the total number of transitions, |P| in the paper's
@@ -262,11 +283,7 @@ func eliminateEps(en *epsNFA, start, final int32) *NFA {
 			if remap[tr.To] < 0 {
 				continue
 			}
-			out.Trans[newID] = append(out.Trans[newID], Transition{Label: tr.Label, To: remap[tr.To]})
-			if _, ok := out.LabelID[tr.Label.Key()]; !ok {
-				out.LabelID[tr.Label.Key()] = int32(len(out.Labels))
-				out.Labels = append(out.Labels, tr.Label)
-			}
+			out.AddTrans(int32(newID), tr.Label, remap[tr.To])
 		}
 	}
 	return out

@@ -7,7 +7,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -473,16 +475,10 @@ func ComputeDomains(q *Query, g *graph.Graph, mode DomainMode) subst.Domains {
 
 // sortPairs orders result pairs canonically.
 func sortPairs(pairs []Pair) {
-	sort.Slice(pairs, func(i, j int) bool {
-		a, b := pairs[i], pairs[j]
-		if a.Vertex != b.Vertex {
-			return a.Vertex < b.Vertex
+	slices.SortFunc(pairs, func(a, b Pair) int {
+		if c := cmp.Compare(a.Vertex, b.Vertex); c != 0 {
+			return c
 		}
-		for k := range a.Subst {
-			if a.Subst[k] != b.Subst[k] {
-				return a.Subst[k] < b.Subst[k]
-			}
-		}
-		return false
+		return slices.Compare(a.Subst, b.Subst)
 	})
 }

@@ -33,6 +33,9 @@ type engine struct {
 
 	// buf1 is the merge scratch buffer reused across the hot loop.
 	buf1 subst.Subst
+	// scratch receives every non-memoized match (see match), so the basic
+	// variant reuses one Match's storage instead of allocating per call.
+	scratch label.Match
 }
 
 func newEngine(g *graph.Graph, q *Query, auto *automata.NFA, opts Options, stats *Stats) (*engine, error) {
@@ -97,6 +100,12 @@ func (e *engine) progress(phase string, pops, depth, reach int64) {
 // (with dense id elID) against transition label tl (with dense id tlID in
 // the automaton's label space). Returns nil when the labels cannot match
 // under any substitution.
+//
+// With memoization the result is the cached entry and stays valid for the
+// engine's lifetime. Without it the result points at the engine's scratch
+// match and is valid only until the next match call, so callers must use it
+// before matching again and must not retain it: the basic variant recomputes
+// every match, as in the paper, without allocating for it.
 func (e *engine) match(tl *label.CTerm, tlID int32, el *label.CTerm, elID int32) *label.Match {
 	if e.memo != nil {
 		row := e.memo[elID]
@@ -129,14 +138,15 @@ func (e *engine) match(tl *label.CTerm, tlID int32, el *label.CTerm, elID int32)
 		return &m
 	}
 	e.stats.MatchCalls++
-	m := label.MatchAD(tl, el)
+	m := &e.scratch
+	label.MatchADInto(m, tl, el)
 	if e.ex != nil {
 		e.ex.attempt(m.OK)
 	}
 	if !m.OK {
 		return nil
 	}
-	return &m
+	return m
 }
 
 // forEachMatch enumerates the substitutions θ2 under which edge label el
@@ -222,7 +232,9 @@ func (e *engine) forEachGeneric(tl, el *label.CTerm, th subst.Subst, emit func(s
 
 // possiblyMatches reports whether any substitution can make el match tl;
 // used by the M_ts/M_ds precomputation, which records matches independent of
-// the substitutions flowing through them.
+// the substitutions flowing through them. The precomputation variant always
+// memoizes, so the AD-compatible results it stores are memo entries, never
+// the engine's scratch match.
 func (e *engine) possiblyMatches(tl *label.CTerm, tlID int32, el *label.CTerm, elID int32) *label.Match {
 	if !tl.ADCompatible() {
 		// Conservative for the generic fragment: try to find one witness.

@@ -138,13 +138,12 @@ func buildMTS(e *engine, v0 int32) ([][]mtsEntry, int64) {
 		v, s := unpackPair(pair, states)
 		for _, ge := range g.Out(v) {
 			for i, tr := range nfa.Trans[s] {
-				tlID := nfa.LabelID[tr.Label.Key()]
 				var ti int32
 				if e.ex != nil {
 					ti = e.ex.ti(s, i)
 					e.ex.setCur(ti, ge.LabelID)
 				}
-				m := e.possiblyMatches(tr.Label, tlID, ge.Label, ge.LabelID)
+				m := e.possiblyMatches(tr.Label, tr.LabelID, ge.Label, ge.LabelID)
 				if m == nil {
 					continue
 				}
@@ -307,12 +306,11 @@ func existWorklist(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, e
 		}
 		for _, ge := range g.Out(t.v) {
 			for i, tr := range nfa.Trans[t.s] {
-				tlID := nfa.LabelID[tr.Label.Key()]
 				to := tr.To
 				if e.ex != nil {
 					e.ex.setCur(e.ex.ti(t.s, i), ge.LabelID)
 				}
-				e.forEachMatch(tr.Label, tlID, ge.Label, ge.LabelID, th, func(th2 subst.Subst) bool {
+				e.forEachMatch(tr.Label, tr.LabelID, ge.Label, ge.LabelID, th, func(th2 subst.Subst) bool {
 					push(ge.To, to, th2, t, ge.Label, t.v)
 					return true
 				})
@@ -473,7 +471,7 @@ func (es *enumState) run(g *graph.Graph, v0 int32, nfa *automata.NFA, th subst.S
 		for _, ge := range g.Out(v) {
 			for i, tr := range nfa.Trans[s] {
 				stats.MatchCalls++
-				ok := label.MatchGround(es.inst[nfa.LabelID[tr.Label.Key()]], ge.Label, nil)
+				ok := label.MatchGround(es.inst[tr.LabelID], ge.Label, nil)
 				if ex != nil {
 					ex.setCur(ex.ti(s, i), ge.LabelID)
 					ex.attempt(ok)

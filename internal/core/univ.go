@@ -159,13 +159,12 @@ func univWorklist(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, er
 		if row[s] == nil {
 			entries := []dsEntry{}
 			for i, tr := range dfa.Trans[s] {
-				tlID := dfa.LabelID[tr.Label.Key()]
 				var ti int32
 				if e.ex != nil {
 					ti = e.ex.ti(s, i)
 					e.ex.setCur(ti, elID)
 				}
-				m := e.possiblyMatches(tr.Label, tlID, el, elID)
+				m := e.possiblyMatches(tr.Label, tr.LabelID, el, elID)
 				if m == nil {
 					continue
 				}
@@ -255,12 +254,11 @@ func univWorklist(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, er
 					}
 				} else {
 					for i, tr := range dfa.Trans[t.s] {
-						tlID := dfa.LabelID[tr.Label.Key()]
 						curTarget = tr.To
 						if e.ex != nil {
 							e.ex.setCur(e.ex.ti(t.s, i), ge.LabelID)
 						}
-						ok = e.forEachMatch(tr.Label, tlID, ge.Label, ge.LabelID, th, emit)
+						ok = e.forEachMatch(tr.Label, tr.LabelID, ge.Label, ge.LabelID, th, emit)
 						if !ok {
 							break
 						}

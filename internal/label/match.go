@@ -1,6 +1,6 @@
 package label
 
-import "sort"
+import "slices"
 
 // Binding maps one parameter index to one symbol key.
 type Binding struct {
@@ -34,9 +34,15 @@ func (bs *Bindings) bind(p, s int32) bool {
 	return true
 }
 
-// normalize sorts the bindings by parameter index.
+// normalize sorts the bindings by parameter index. Bindings hold one to
+// three entries, so an in-place insertion sort beats sort.Slice, which
+// allocates.
 func (bs Bindings) normalize() {
-	sort.Slice(bs, func(i, j int) bool { return bs[i].Param < bs[j].Param })
+	for i := 1; i < len(bs); i++ {
+		for j := i; j > 0 && bs[j].Param < bs[j-1].Param; j-- {
+			bs[j], bs[j-1] = bs[j-1], bs[j]
+		}
+	}
 }
 
 // Clone returns a copy of the bindings.
@@ -66,24 +72,14 @@ type Match struct {
 	// unifies). Empty means the negation (if any) is satisfied
 	// unconditionally.
 	Disagrees []Bindings
+	// dparams is the sorted set of parameters occurring in Disagrees,
+	// computed once per match by MatchADInto.
+	dparams []int32
 }
 
 // DisagreeParams returns the sorted set of parameters occurring in any
-// disagree set.
-func (m *Match) DisagreeParams() []int32 {
-	seen := map[int32]bool{}
-	var out []int32
-	for _, d := range m.Disagrees {
-		for _, b := range d {
-			if !seen[b.Param] {
-				seen[b.Param] = true
-				out = append(out, b.Param)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+// disagree set. The slice belongs to the match and must not be modified.
+func (m *Match) DisagreeParams() []int32 { return m.dparams }
 
 // MatchAD matches ground edge label el against transition label tl and
 // returns the agree/disagree decomposition. Precondition: tl.ADCompatible()
@@ -91,15 +87,34 @@ func (m *Match) DisagreeParams() []int32 {
 // be ground.
 func MatchAD(tl, el *CTerm) Match {
 	var m Match
-	if !matchADRec(tl, el, &m) {
+	MatchADInto(&m, tl, el)
+	if !m.OK {
 		return Match{}
 	}
-	m.OK = true
+	return m
+}
+
+// MatchADInto is MatchAD writing into m. It resets m and reuses the
+// capacity of its Agree, Disagrees (including each disagree set) and
+// disagree-parameter slices, so matching into one Match over and over
+// allocates nothing once the capacities have grown. Results previously read
+// from m are overwritten.
+func MatchADInto(m *Match, tl, el *CTerm) {
+	m.Agree = m.Agree[:0]
+	m.Disagrees = m.Disagrees[:0]
+	m.dparams = m.dparams[:0]
+	if m.OK = matchADRec(tl, el, m); !m.OK {
+		return
+	}
 	m.Agree.normalize()
 	for _, d := range m.Disagrees {
 		d.normalize()
+		for _, b := range d {
+			m.dparams = append(m.dparams, b.Param)
+		}
 	}
-	return m
+	slices.Sort(m.dparams)
+	m.dparams = slices.Compact(m.dparams)
 }
 
 func matchADRec(tl, el *CTerm, m *Match) bool {
@@ -131,18 +146,28 @@ func matchADRec(tl, el *CTerm, m *Match) bool {
 			alts = inner.Args
 		}
 		for _, alt := range alts {
-			var d Bindings
-			if unifyPos(alt, el, &d) {
-				if len(d) == 0 {
-					// This alternative matches under every substitution, so
-					// the negation never holds.
-					return false
-				}
-				// The alternative matches exactly when θ agrees with all
-				// of d; record it so the caller can require disagreement.
-				m.Disagrees = append(m.Disagrees, d)
+			// Unify into the next disagree slot, reusing the bindings
+			// capacity a previous match left there.
+			n := len(m.Disagrees)
+			if n < cap(m.Disagrees) {
+				m.Disagrees = m.Disagrees[:n+1]
+				m.Disagrees[n] = m.Disagrees[n][:0]
+			} else {
+				m.Disagrees = append(m.Disagrees, nil)
 			}
-			// Alternatives that can never match el impose no constraint.
+			if !unifyPos(alt, el, &m.Disagrees[n]) {
+				// Alternatives that can never match el impose no
+				// constraint.
+				m.Disagrees = m.Disagrees[:n]
+				continue
+			}
+			if len(m.Disagrees[n]) == 0 {
+				// This alternative matches under every substitution, so
+				// the negation never holds.
+				return false
+			}
+			// The alternative matches exactly when θ agrees with all of
+			// the slot's bindings, so the caller requires disagreement.
 		}
 		return true
 	case KOr:

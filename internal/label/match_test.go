@@ -2,6 +2,8 @@ package label
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -398,5 +400,86 @@ func TestPositivePositions(t *testing.T) {
 	tl.AllPositions(func(p, ctor int32, arg int) { all++ })
 	if all != 2 {
 		t.Errorf("AllPositions reported %d, want 2", all)
+	}
+}
+
+// disagreeParamsByMap is the original definition of Match.DisagreeParams:
+// collect the parameters of every disagree set in a map, then sort.
+func disagreeParamsByMap(m *Match) []int32 {
+	seen := map[int32]bool{}
+	var out []int32
+	for _, d := range m.Disagrees {
+		for _, b := range d {
+			if !seen[b.Param] {
+				seen[b.Param] = true
+				out = append(out, b.Param)
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// TestMatchADIntoReuse matches one reused Match across the labels and edges
+// of the match tests and checks every result against a fresh MatchAD and
+// the original DisagreeParams definition. The sequence puts zero-disagree
+// and failing matches right after multi-alternative ones, so capacity left
+// over from an earlier match would show as stale bindings.
+func TestMatchADIntoReuse(t *testing.T) {
+	e := newEnv()
+	type pair struct{ tl, el string }
+	cases := []pair{
+		{"def(x)", "def(a)"},
+		{"!(f(x,_)|f(_,x))", "f(a,b)"}, // two disagree sets
+		{"def(x)", "def(b)"},           // zero disagree sets after two
+		{"!(f(x,_)|f(_,x))", "f(a,b)"},
+		{"!(def(x)|use(x))", "assign(a)"}, // unconditional negation
+		{"!(g(y,_)|g(_,x))", "g(a,b)"},    // params collected out of order
+		{"!(f(x)|f('a'))", "f(a)"},        // fails after a partial disagree
+		{"def(x,!c)", "def(a,5)"},
+		{"use(x,y)", "use(a,b)"},
+		{"use(y,x)", "use(a,b)"}, // agree bindings sorted by parameter
+		{"!eq(x,x)", "eq(a,a)"},
+		{"!eq(x,x)", "eq(a,b)"},
+		{"f(g(x),!h(y))", "f(g(a),h(b))"},
+		{"use(y,!(f(x)|g(x)))", "use(a,f(b))"},
+		{"!def('a')", "def(a)"},
+		{"_", "use(a)"},
+	}
+	// Then every label against every edge, the pairs of the AD-vs-ground
+	// property tests.
+	labels := []string{"def(x)", "!def(x)", "def(x,!c)", "use(x,y)", "_", "!def('a')",
+		"f(g(x),!h(y))", "!(def(x)|use(x))", "!(f(x,_)|f(_,x))", "!(f('a')|g(x))",
+		"use(y,!(f(x)|g(x)))"}
+	edges := []string{"def(a)", "def(b)", "use(a,b)", "def(a,5)", "f(g(a),h(b))",
+		"f(g(b),h(a))", "use(a)", "use(b)", "f(a,b)", "f(a)", "g(b)", "use(a,f(b))",
+		"use(b,g(a))", "h(a)"}
+	for _, l := range labels {
+		for _, ed := range edges {
+			cases = append(cases, pair{l, ed})
+		}
+	}
+	var m Match
+	for i, c := range cases {
+		tl, el := e.tl(c.tl), e.el(c.el)
+		MatchADInto(&m, tl, el)
+		want := MatchAD(tl, el)
+		if m.OK != want.OK {
+			t.Fatalf("case %d %s vs %s: OK = %v, want %v", i, c.tl, c.el, m.OK, want.OK)
+		}
+		if !m.OK {
+			continue
+		}
+		if !slices.Equal(m.Agree, want.Agree) {
+			t.Errorf("case %d %s vs %s: agree %v, want %v", i, c.tl, c.el, m.Agree, want.Agree)
+		}
+		if !slices.EqualFunc(m.Disagrees, want.Disagrees, slices.Equal[Bindings]) {
+			t.Errorf("case %d %s vs %s: disagrees %v, want %v", i, c.tl, c.el, m.Disagrees, want.Disagrees)
+		}
+		got, byMap := m.DisagreeParams(), disagreeParamsByMap(&m)
+		if !slices.Equal(got, want.DisagreeParams()) || !slices.Equal(got, byMap) {
+			t.Errorf("case %d %s vs %s: DisagreeParams %v, fresh %v, by map %v",
+				i, c.tl, c.el, got, want.DisagreeParams(), byMap)
+		}
 	}
 }

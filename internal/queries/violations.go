@@ -54,12 +54,6 @@ func ViolationQuery(discipline pattern.Expr, u *label.Universe, withExit bool) (
 	}
 	out.Final[errState] = true
 
-	addLabel := func(tl *label.CTerm) {
-		if _, ok := out.LabelID[tl.Key()]; !ok {
-			out.LabelID[tl.Key()] = int32(len(out.Labels))
-			out.Labels = append(out.Labels, tl)
-		}
-	}
 	skip := label.NegOr(dfa.Labels...)
 	exitLbl, err := label.Compile(label.App("exit"), u, ps)
 	if err != nil {
@@ -69,24 +63,20 @@ func ViolationQuery(discipline pattern.Expr, u *label.Universe, withExit bool) (
 	for s := 0; s < dfa.NumStates; s++ {
 		present := map[string]bool{}
 		for _, tr := range dfa.Trans[s] {
-			out.Trans[s] = append(out.Trans[s], tr)
-			addLabel(tr.Label)
+			out.AddTrans(int32(s), tr.Label, tr.To)
 			present[tr.Label.Key()] = true
 		}
 		// Unrelated operations are allowed anywhere.
-		out.Trans[s] = append(out.Trans[s], automata.Transition{Label: skip, To: int32(s)})
-		addLabel(skip)
+		out.AddTrans(int32(s), skip, int32(s))
 		// A discipline operation with no transition here is a violation.
 		for _, tl := range dfa.Labels {
 			if !present[tl.Key()] {
-				out.Trans[s] = append(out.Trans[s], automata.Transition{Label: tl, To: errState})
-				addLabel(tl)
+				out.AddTrans(int32(s), tl, errState)
 			}
 		}
 		// Ending in the middle of the discipline is a violation.
 		if withExit && !dfa.Final[s] {
-			out.Trans[s] = append(out.Trans[s], automata.Transition{Label: exitLbl, To: errState})
-			addLabel(exitLbl)
+			out.AddTrans(int32(s), exitLbl, errState)
 		}
 	}
 	return &core.Query{Expr: discipline, U: u, PS: ps, NFA: out}, nil

@@ -38,6 +38,9 @@ func (k TableKind) String() string {
 // Table interns substitutions, assigning dense keys in first-seen order.
 // The number of interned substitutions is the "substs" quantity of Figure 2
 // (minus the implicit badsubst, which is never stored).
+//
+// A table is not safe for concurrent use, not even for concurrent lookups:
+// Key and Lookup both write the table's reused key scratch.
 type Table interface {
 	// Key interns s (copying it) and returns its key.
 	Key(s Subst) int32
@@ -99,34 +102,37 @@ type hashTable struct {
 	substs []Subst
 	bytes  int64
 	onGrow func(n int, bytes int64)
+	// buf is the reused little-endian encoding of the substitution being
+	// looked up. Indexing byKey with string(buf) does not allocate; only
+	// a newly interned substitution gets its own key string.
+	buf []byte
 }
 
 func newHashTable(pars int) *hashTable {
-	return &hashTable{pars: pars, byKey: make(map[string]int32)}
+	return &hashTable{pars: pars, byKey: make(map[string]int32), buf: make([]byte, pars*4)}
 }
 
-func hashKey(s Subst) string {
-	b := make([]byte, len(s)*4)
-	for i, v := range s {
+// encode writes s into t.buf and returns it.
+func (t *hashTable) encode(s Subst) []byte {
+	b := t.buf[:0]
+	for _, v := range s {
 		u := uint32(v)
-		b[i*4] = byte(u)
-		b[i*4+1] = byte(u >> 8)
-		b[i*4+2] = byte(u >> 16)
-		b[i*4+3] = byte(u >> 24)
+		b = append(b, byte(u), byte(u>>8), byte(u>>16), byte(u>>24))
 	}
-	return string(b)
+	t.buf = b
+	return b
 }
 
 func (t *hashTable) Key(s Subst) int32 {
-	k := hashKey(s)
-	if id, ok := t.byKey[k]; ok {
+	b := t.encode(s)
+	if id, ok := t.byKey[string(b)]; ok {
 		return id
 	}
 	id := int32(len(t.substs))
-	t.byKey[k] = id
+	t.byKey[string(b)] = id
 	t.substs = append(t.substs, s.Clone())
 	// Key string + map entry overhead + stored substitution + slice header.
-	t.bytes += int64(len(k)) + 48 + int64(len(s)*4) + 24
+	t.bytes += int64(len(b)) + 48 + int64(len(s)*4) + 24
 	if t.onGrow != nil {
 		t.onGrow(len(t.substs), t.bytes)
 	}
@@ -134,7 +140,7 @@ func (t *hashTable) Key(s Subst) int32 {
 }
 
 func (t *hashTable) Lookup(s Subst) (int32, bool) {
-	id, ok := t.byKey[hashKey(s)]
+	id, ok := t.byKey[string(t.encode(s))]
 	return id, ok
 }
 

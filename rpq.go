@@ -1092,15 +1092,32 @@ func (g *Graph) resolve(opts *Options, universal bool) (*graph.Graph, int32, cor
 
 func (g *Graph) convert(ig *graph.Graph, q *core.Query, res *core.Result) *Result {
 	out := &Result{Stats: res.Stats, Explain: res.Explain}
+	if len(res.Pairs) == 0 {
+		return out
+	}
+	// Every answer's bindings are carved from one backing slice, each capped
+	// at its own end so that a caller appending to one answer's bindings
+	// reallocates instead of overwriting the next answer's.
+	nb := 0
 	for _, p := range res.Pairs {
-		a := Answer{Vertex: ig.VertexName(p.Vertex)}
+		nb += p.Subst.NumBound()
+	}
+	backing := make([]Binding, 0, nb)
+	out.Answers = make([]Answer, len(res.Pairs))
+	for k, p := range res.Pairs {
+		a := &out.Answers[k]
+		a.Vertex = ig.VertexName(p.Vertex)
+		start := len(backing)
 		for i, v := range p.Subst {
 			if v >= 0 {
-				a.Bindings = append(a.Bindings, Binding{
+				backing = append(backing, Binding{
 					Param:  q.PS.Name(int32(i)),
 					Symbol: ig.U.Syms.Name(v),
 				})
 			}
+		}
+		if end := len(backing); end > start {
+			a.Bindings = backing[start:end:end]
 		}
 		for _, w := range p.Witness {
 			a.Witness = append(a.Witness, Step{
@@ -1109,7 +1126,6 @@ func (g *Graph) convert(ig *graph.Graph, q *core.Query, res *core.Result) *Resul
 				To:    ig.VertexName(w.To),
 			})
 		}
-		out.Answers = append(out.Answers, a)
 	}
 	return out
 }

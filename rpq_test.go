@@ -48,6 +48,28 @@ func TestQuickstartExist(t *testing.T) {
 	}
 }
 
+// TestAnswerBindingsIndependent appends to one answer's bindings and checks
+// that the next answer's are unchanged: answers share one backing slice for
+// their bindings, each capped at its own end.
+func TestAnswerBindingsIndependent(t *testing.T) {
+	g := figure1Graph(t)
+	res, err := g.Exist(MustParsePattern("(!def(x))* use(x)"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Answers) != 2 {
+		t.Fatalf("answers = %v, want two", answers(res))
+	}
+	next := res.Answers[1].String()
+	res.Answers[0].Bindings = append(res.Answers[0].Bindings, Binding{Param: "y", Symbol: "z"})
+	if got := res.Answers[1].String(); got != next {
+		t.Fatalf("appending to answer 0 changed answer 1: %q, was %q", got, next)
+	}
+	if got := res.Answers[0].String(); got != "v5 {x↦b, y↦z}" {
+		t.Errorf("answer 0 after append = %q", got)
+	}
+}
+
 func TestAllAlgorithmsAgreeOnPublicAPI(t *testing.T) {
 	g := figure1Graph(t)
 	p := MustParsePattern("(!def(x))* use(x)")
