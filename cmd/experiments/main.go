@@ -32,9 +32,10 @@ import (
 	"rpq/internal/subst"
 )
 
-// liveGauges, when -http is set, exposes each running query's worklist
-// depth, reach size, and table bytes at /metrics.
-var liveGauges *obs.SolverGauges
+// liveProgress, when -http is set, writes each running query's Progress
+// snapshots (worklist depth, reach size, substitutions, table bytes) to the
+// gauges served at /metrics.
+var liveProgress func(core.Progress)
 
 // section labels bench entries with the table/figure/ablation being run.
 var section string
@@ -123,7 +124,11 @@ func main() {
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "experiments: observability on http://%s (/metrics, /debug/vars, /debug/pprof)\n", srv.Addr)
-		liveGauges = obs.NewSolverGauges(nil)
+		gauges := obs.NewSolverGauges(nil)
+		liveProgress = func(p core.Progress) {
+			gauges.Sample(p.WorklistDepth, p.Reach, p.Substs, p.Bytes)
+			gauges.EnumSubsts.Set(p.EnumSubsts)
+		}
 	}
 
 	ran := false
@@ -181,7 +186,7 @@ func main() {
 
 // run executes one query and returns the result with wall-clock time.
 func run(g *graph.Graph, start int32, pat string, opts core.Options) (*core.Result, time.Duration) {
-	opts.Gauges = liveGauges
+	opts.Progress = liveProgress
 	opts.Explain = explainOn
 	opts.Deadline = queryTimeout
 	if opts.Workers == 0 {
@@ -406,7 +411,7 @@ func runAblation(name string) {
 		q := core.MustCompile(pattern.MustParse("(state(_) act(_))* state(_)?"), ug.U)
 		for _, cm := range []core.CompletionMode{core.Incomplete, core.CompleteTrap, core.CompleteExplicit} {
 			t0 := time.Now()
-			res, err := core.Univ(ug, ug.Start(), q, core.Options{Completion: cm, Gauges: liveGauges, Deadline: queryTimeout})
+			res, err := core.Univ(ug, ug.Start(), q, core.Options{Completion: cm, Progress: liveProgress, Deadline: queryTimeout})
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 				os.Exit(1)

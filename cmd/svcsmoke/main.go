@@ -12,11 +12,14 @@
 // list with solver frames under the rpq_kind=exist slice, a two-window diff,
 // a flight-recorder bundle carrying the pinned window's profile.pb.gz, the
 // /debug/rpq/ index, and histogram exemplars in both JSON and Prometheus
-// exposition), and a SIGTERM drain with a query still running (during
-// which readyz must report 503 while healthz stays 200). The scraped
-// /debug/rpq/ts document is written to -out, the structured access log to
-// -access-log, and a captured profile window to -prof-out so CI can archive
-// all three. Any failed check exits nonzero.
+// exposition), the /metrics families (query counters, latency buckets,
+// resource attribution, build info, runtime go_ gauges, a nonzero live
+// rpq_reach_size) and the dashboard page, and a SIGTERM drain with a query
+// still running (during which readyz must report 503 while healthz stays
+// 200). The scraped /debug/rpq/ts document is validated as rpq-tsdb/1 and
+// written to -out, the structured access log to -access-log, and a
+// captured profile window to -prof-out so CI can archive all three. Any
+// failed check exits nonzero.
 package main
 
 import (
@@ -135,6 +138,7 @@ func main() {
 	checkDebugIndex(obsBase)
 	checkProf(obsBase, wdDir, *profOut)
 	checkExemplars(obsBase)
+	checkMetrics(obsBase)
 	scrapeTS(obsBase, *out)
 	checkDrain(cmd)
 	checkAccessLog(logPath, *accessLog != "")
@@ -740,14 +744,8 @@ func checkExemplars(obsBase string) {
 		}
 	}
 
-	resp, err := http.Get(obsBase + "/metrics")
-	if err != nil {
-		fail("scrape metrics: %v", err)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
 	found := false
-	for _, line := range strings.Split(string(raw), "\n") {
+	for _, line := range strings.Split(getText(obsBase+"/metrics"), "\n") {
 		if strings.Contains(line, "_hist_bucket") && strings.Contains(line, `# {trace_id="`) {
 			found = true
 		}
@@ -758,41 +756,89 @@ func checkExemplars(obsBase string) {
 	fmt.Printf("svcsmoke: %d exemplars in JSON, exposition carries trace IDs\n", len(doc.Exemplars))
 }
 
-// scrapeTS archives the observability time-series window and sanity-checks
-// that the service gauges are in it.
+// checkMetrics asserts the Prometheus exposition after the workload carries
+// the query counter, the latency histogram buckets, the resource-attribution
+// totals, the build info and the runtime sampler's go_ gauges, and that
+// rpq_reach_size is nonzero: the live solver gauges are written from each
+// run's Progress snapshots and end-of-run stats. It also checks that the
+// dashboard page is served.
+func checkMetrics(obsBase string) {
+	metrics := getText(obsBase + "/metrics")
+	for _, want := range []string{
+		"rpq_queries_total",
+		"rpq_query_seconds_hist_bucket{le=",
+		"rpq_cpu_us_total",
+		"rpq_alloc_bytes_total",
+		"rpq_build_info{",
+		"go_goroutines",
+		"go_heap_live_bytes",
+	} {
+		if !strings.Contains(metrics, want) {
+			fail("/metrics: missing %q", want)
+		}
+	}
+	reach := ""
+	for _, line := range strings.Split(metrics, "\n") {
+		if v, ok := strings.CutPrefix(line, "rpq_reach_size "); ok {
+			reach = v
+		}
+	}
+	if reach == "" || reach == "0" {
+		fail("/metrics: rpq_reach_size = %q after the workload, want nonzero", reach)
+	}
+	dash := getText(obsBase + "/debug/rpq/dash")
+	if !strings.Contains(dash, "rpq live dashboard") || !strings.Contains(dash, "/debug/rpq/ts") {
+		fail("/debug/rpq/dash: not the dashboard page")
+	}
+	fmt.Printf("svcsmoke: /metrics complete (rpq_reach_size %s), dashboard served\n", reach)
+}
+
+// scrapeTS archives the observability time-series window and validates the
+// rpq-tsdb/1 document: points within the retention bound and equal to the
+// timestamp count, timestamps nondecreasing, every series column aligned,
+// the service gauges present, and rpq_queries_total advanced.
 func scrapeTS(obsBase, out string) {
-	resp, err := http.Get(obsBase + "/debug/rpq/ts")
-	if err != nil {
-		fail("scrape ts: %v", err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		fail("scrape ts: %v", err)
-	}
+	raw := getText(obsBase + "/debug/rpq/ts")
 	var doc struct {
-		Schema string                   `json:"schema"`
-		Points int                      `json:"points"`
-		Series map[string][]json.Number `json:"series"`
+		Schema          string                   `json:"schema"`
+		RetentionPoints int                      `json:"retention_points"`
+		Points          int                      `json:"points"`
+		TimestampsMS    []int64                  `json:"timestamps_ms"`
+		Series          map[string][]json.Number `json:"series"`
 	}
-	mustUnmarshal(string(raw), &doc)
+	mustUnmarshal(raw, &doc)
 	if doc.Schema != "rpq-tsdb/1" {
 		fail("ts schema = %q", doc.Schema)
 	}
 	if doc.Points < 1 {
 		fail("ts window is empty")
 	}
-	for _, name := range []string{"rpq_svc_admitted_total", "rpq_svc_rejected_total", "rpq_qcache_hits_total"} {
-		col, ok := doc.Series[name]
-		if !ok {
-			fail("%s missing from ts series", name)
+	if doc.Points > doc.RetentionPoints {
+		fail("ts points=%d exceeds retention_points=%d", doc.Points, doc.RetentionPoints)
+	}
+	if doc.Points != len(doc.TimestampsMS) {
+		fail("ts points=%d but %d timestamps", doc.Points, len(doc.TimestampsMS))
+	}
+	for i := 1; i < len(doc.TimestampsMS); i++ {
+		if doc.TimestampsMS[i] < doc.TimestampsMS[i-1] {
+			fail("ts timestamps not nondecreasing at %d", i)
 		}
+	}
+	for name, col := range doc.Series {
 		if len(col) != doc.Points {
 			fail("%s column has %d points, want %d (misaligned)", name, len(col), doc.Points)
 		}
 	}
+	for _, name := range []string{"rpq_svc_admitted_total", "rpq_svc_rejected_total", "rpq_qcache_hits_total", "rpq_queries_total"} {
+		if _, ok := doc.Series[name]; !ok {
+			fail("%s missing from ts series", name)
+		}
+	}
+	if qt := doc.Series["rpq_queries_total"]; qt[len(qt)-1] == "" || qt[len(qt)-1] == "0" {
+		fail("ts rpq_queries_total never advanced")
+	}
 	if out != "" {
-		if err := os.WriteFile(out, raw, 0o644); err != nil {
+		if err := os.WriteFile(out, []byte(raw), 0o644); err != nil {
 			fail("write %s: %v", out, err)
 		}
 		fmt.Printf("svcsmoke: wrote %s (%d bytes, %d series)\n", out, len(raw), len(doc.Series))
@@ -961,21 +1007,26 @@ func post(path, body string) (int, string) {
 	return resp.StatusCode, string(raw)
 }
 
-func getJSON(path string, v any) {
-	getJSONURL(base+path, v)
-}
-
-func getJSONURL(url string, v any) {
+// getText GETs url and returns its body, failing on any status but 200.
+func getText(url string) string {
 	resp, err := http.Get(url)
 	if err != nil {
 		fail("GET %s: %v", url, err)
 	}
 	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != 200 {
-		fail("GET %s: %d %s", url, resp.StatusCode, raw)
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != 200 {
+		fail("GET %s: %d %s %v", url, resp.StatusCode, raw, err)
 	}
-	mustUnmarshal(string(raw), v)
+	return string(raw)
+}
+
+func getJSON(path string, v any) {
+	getJSONURL(base+path, v)
+}
+
+func getJSONURL(url string, v any) {
+	mustUnmarshal(getText(url), v)
 }
 
 func mustUnmarshal(s string, v any) {

@@ -1,10 +1,9 @@
 // Observe: running an intrusion-detection query with the observability
 // layer attached — a ring-buffer tracer capturing the solver's lifecycle
-// events, live gauges, the per-phase timing breakdown recorded in
-// core.Stats, and a deadline-bounded rerun showing cancellation with
-// partial statistics. See docs/observability.md for the full surface
-// (Chrome traces, NDJSON streams, Prometheus /metrics, pprof, watchdog
-// bundles).
+// events, the per-phase timing breakdown recorded in core.Stats, and a
+// deadline-bounded rerun showing cancellation with partial statistics. See
+// docs/observability.md for the full surface (Chrome traces, NDJSON
+// streams, Prometheus /metrics, pprof, watchdog bundles).
 package main
 
 import (
@@ -43,17 +42,14 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// A ring buffer keeps the last N structured events in memory; gauges
-	// expose live solver state (and back /metrics when obs.Serve is up).
+	// A ring buffer keeps the last N structured events in memory.
 	ring := obs.NewRingSink(256)
-	gauges := obs.NewSolverGauges(obs.Default())
 
 	const sig = "_* open(f, u) (!close(f, u))* exec(_, u)"
 	q := core.MustCompile(pattern.MustParse(sig), g.U)
 	res, err := core.Exist(g, g.Start(), q, core.Options{
 		Algo:   core.AlgoMemo,
 		Tracer: ring,
-		Gauges: gauges,
 	})
 	if err != nil {
 		log.Fatal(err)

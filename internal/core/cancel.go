@@ -26,7 +26,9 @@ var ErrDeadline = fmt.Errorf("core: query deadline exceeded: %w", context.Deadli
 type InterruptError struct {
 	// Reason is ErrCanceled or ErrDeadline.
 	Reason error
-	// Stats holds the counters accumulated before the interrupt. Phase
+	// Stats holds the counters accumulated before the interrupt, filled by
+	// the same finisher as a completed run's, so every field — Bytes and
+	// ResultPairs included — describes the state the run stopped in. Phase
 	// wall times cover only the elapsed portion of each phase.
 	Stats Stats
 	// Explain is the partial execution profile (visits, attempts,
@@ -113,7 +115,18 @@ func (c *canceler) reason() error {
 	return ErrCanceled
 }
 
-// interrupt builds the typed error carrying the partial stats and profile.
-func (c *canceler) interrupt(stats Stats, ex *Explain) *InterruptError {
-	return &InterruptError{Reason: c.reason(), Stats: stats, Explain: ex}
+// conclude is every solver's exit, after its one finisher has filled stats
+// and built the profile ex from the state the run reached: a stopped run
+// returns both in an *InterruptError, so the partial stats carry every
+// field a completed run's do; a completed run returns them with its pairs
+// sorted canonically.
+func conclude(c *canceler, stopped bool, pairs []Pair, stats Stats, ex *Explain) (*Result, error) {
+	// A run that fails the universal determinism check returns
+	// ErrNondeterministic instead of reaching here.
+	stats.DeterminismOK = true
+	if stopped {
+		return nil, &InterruptError{Reason: c.reason(), Stats: stats, Explain: ex}
+	}
+	sortPairs(pairs)
+	return &Result{Pairs: pairs, Stats: stats, Explain: ex}, nil
 }

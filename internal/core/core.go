@@ -140,11 +140,6 @@ type Options struct {
 	// counters). Nil disables tracing at the cost of one nil check; see
 	// internal/obs for sinks (ring buffer, NDJSON, Chrome trace_event).
 	Tracer obs.Tracer
-	// Gauges, when non-nil, receives periodic live samples (worklist
-	// depth, reach-set size, interned substitutions, table bytes) every
-	// few hundred worklist pops, for the /metrics endpoint to expose
-	// while a query runs.
-	Gauges *obs.SolverGauges
 	// Explain collects a per-query execution profile (per-state visit
 	// counts, per-transition match attempt/hit/extension counters,
 	// per-edge-label match histograms, table growth and worklist depth
@@ -157,14 +152,25 @@ type Options struct {
 	// passed to ExistContext/UnivContext (whichever fires first wins).
 	Deadline time.Duration
 	// Progress, when non-nil, receives throttled live snapshots of the
-	// running query (one every few hundred worklist pops, mirroring the
-	// gauge cadence). It is invoked from one goroutine at a time and should
-	// be cheap — it runs on the solver's hot path.
+	// running query: one every 256 worklist pops, and one per
+	// enumerated substitution. It is the solver's only live outlet; live
+	// metrics, in-flight snapshots and dashboards are projections of it. It
+	// is invoked from one goroutine at a time and should be cheap — it
+	// runs on the solver's hot path. A worklist run checks for cancellation
+	// right after each snapshot, so a cancel raised inside the callback
+	// stops the run in the state the snapshot describes.
 	Progress func(Progress)
 
-	// cxl is the cancellation watcher installed by ExistContext/UnivContext;
-	// nil for uncancelable runs, so the loop checks cost one pointer test.
+	// cxl is the cancellation watcher armed by solve; nil for uncancelable
+	// runs, so the loop checks cost one pointer test.
 	cxl *canceler
+}
+
+// progress delivers one snapshot to Options.Progress, if set.
+func (o *Options) progress(p Progress) {
+	if o.Progress != nil {
+		o.Progress(p)
+	}
 }
 
 // Progress is one live snapshot of a running query, delivered to
@@ -181,6 +187,12 @@ type Progress struct {
 	Reach int64 `json:"reach_size"`
 	// Substs is the number of distinct substitutions interned so far.
 	Substs int64 `json:"substs"`
+	// Bytes is the modeled memory of the run so far: the reach set, the
+	// substitution table and the match memo (worklist algorithms), or the
+	// Stats.Bytes model accumulated over the ground passes (enumeration and
+	// hybrid). The final Stats.Bytes adds the result pairs and, under
+	// precomputation, the precomputed maps.
+	Bytes int64 `json:"bytes"`
 	// EnumSubsts is the number of full substitutions enumerated so far
 	// (enumeration/hybrid algorithms; zero elsewhere).
 	EnumSubsts int64 `json:"enum_substs"`

@@ -20,6 +20,11 @@ type engine struct {
 	stats *Stats
 	in    instr
 
+	// pops counts worklist pops and nextHW is the next worklist high-water
+	// mark to trace; both advance in checkpoint.
+	pops   int64
+	nextHW int
+
 	// ex collects the per-state/per-transition/per-label execution profile
 	// when Options.Explain is set; nil otherwise, so every counting site
 	// pays one nil check when disabled.
@@ -38,8 +43,7 @@ type engine struct {
 	scratch label.Match
 }
 
-func newEngine(g *graph.Graph, q *Query, auto *automata.NFA, opts Options, stats *Stats) (*engine, error) {
-	in := newInstr(opts)
+func newEngine(g *graph.Graph, q *Query, auto *automata.NFA, opts Options, in instr, stats *Stats) (*engine, error) {
 	tDoms := in.phaseBegin("domains")
 	doms := ComputeDomains(q, g, opts.Domains)
 	stats.Phases.Domains.Wall = in.phaseEnd("domains", tDoms)
@@ -48,15 +52,16 @@ func newEngine(g *graph.Graph, q *Query, auto *automata.NFA, opts Options, stats
 		return nil, err
 	}
 	e := &engine{
-		g:     g,
-		q:     q,
-		auto:  auto,
-		opts:  opts,
-		doms:  doms,
-		table: table,
-		stats: stats,
-		in:    in,
-		buf1:  subst.New(q.Pars()),
+		g:      g,
+		q:      q,
+		auto:   auto,
+		opts:   opts,
+		doms:   doms,
+		table:  table,
+		stats:  stats,
+		in:     in,
+		nextHW: 1,
+		buf1:   subst.New(q.Pars()),
 	}
 	if opts.Explain {
 		e.ex = newExplainCollector(auto, g.NumLabels())
@@ -81,19 +86,24 @@ func newEngine(g *graph.Graph, q *Query, auto *automata.NFA, opts Options, stats
 	return e, nil
 }
 
-// sample publishes a live gauge snapshot from the worklist loops.
-func (e *engine) sample(worklistDepth, reach int, reachBytes int64) {
-	e.in.gauges.Sample(int64(worklistDepth), int64(reach), int64(e.table.Len()),
-		reachBytes+e.table.Bytes()+e.memoBytes)
-}
-
-// progress delivers one live snapshot to Options.Progress (nil-safe). Called
-// at the gauge cadence from the sequential worklist loops.
-func (e *engine) progress(phase string, pops, depth, reach int64) {
-	if p := e.opts.Progress; p != nil {
-		p(Progress{Phase: phase, Pops: pops, WorklistDepth: depth, Reach: reach,
-			Substs: int64(e.table.Len()), Workers: 1})
+// checkpoint is the worklist loops' one per-pop step, taken after each pop
+// with the current worklist depth and the reach set. It records the
+// high-water trace mark and the Explain depth curve, delivers a Progress
+// snapshot every sampleMask+1 pops, and then reports whether the run may go
+// on. The cancellation check comes last and runs on every pop, so a
+// canceled context stops the run at its first pop, and a cancel raised
+// inside the Progress callback stops it in the state the snapshot shows.
+func (e *engine) checkpoint(depth int, reach tripleSet) bool {
+	e.in.highWater(depth, &e.nextHW)
+	if e.ex != nil {
+		e.ex.pop(depth)
 	}
+	if e.pops++; e.pops&sampleMask == 0 && e.opts.Progress != nil {
+		e.opts.Progress(Progress{Phase: "solve", Pops: e.pops, WorklistDepth: int64(depth),
+			Reach: int64(reach.Len()), Substs: int64(e.table.Len()),
+			Bytes: reach.Bytes() + e.table.Bytes() + e.memoBytes, Workers: 1})
+	}
+	return e.opts.cxl.state() == cxlRunning
 }
 
 // match computes (or recalls) the agree/disagree match of edge label el

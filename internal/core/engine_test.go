@@ -81,7 +81,7 @@ edge v1 use(a) v2
 `)
 	q := MustCompile(pattern.MustParse("(!def(x))* use(x)"), g.U)
 	var stats Stats
-	e, err := newEngine(g, q, q.NFA, Options{Algo: AlgoMemo}, &stats)
+	e, err := newEngine(g, q, q.NFA, Options{Algo: AlgoMemo}, instr{}, &stats)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -48,59 +47,15 @@ func Exist(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, error) {
 // far. Enumeration fan-out workers drain and join before the error
 // returns; no goroutines outlive the call.
 func ExistContext(ctx context.Context, g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, error) {
-	if int(v0) >= g.NumVertices() || v0 < 0 {
-		return nil, fmt.Errorf("core: start vertex %d out of range", v0)
-	}
 	switch opts.Algo {
-	case AlgoBasic, AlgoMemo, AlgoPrecomp, AlgoEnum:
+	case AlgoBasic, AlgoMemo, AlgoPrecomp:
+		return solve(ctx, g, v0, q, opts, existWorklist)
+	case AlgoEnum:
+		return solve(ctx, g, v0, q, opts, existEnum)
 	case AlgoHybrid:
 		return nil, fmt.Errorf("core: the hybrid algorithm applies to universal queries only")
-	default:
-		return nil, fmt.Errorf("core: unknown algorithm %v", opts.Algo)
 	}
-	if opts.cxl == nil {
-		// univHybrid's inner existential pass arrives with the watcher
-		// already armed; arm one here otherwise.
-		if opts.Deadline > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, opts.Deadline)
-			defer cancel()
-		}
-		cxl, release := newCanceler(ctx)
-		defer release()
-		opts.cxl = cxl
-	}
-	in := newInstr(opts)
-	in.span("compile", q.CompileWall)
-	a0 := in.allocSnapshot()
-	t0 := in.phaseBegin("solve")
-	var res *Result
-	var err error
-	if opts.Algo == AlgoEnum {
-		res, err = existEnum(g, v0, q, opts)
-	} else {
-		res, err = existWorklist(g, v0, q, opts)
-	}
-	if err != nil {
-		// Close the phase and flush buffered trace events so a failing run
-		// still yields a complete, parseable trace. Interrupted runs get
-		// their phase walls stamped into the partial stats.
-		d := in.phaseEnd("solve", t0)
-		var ie *InterruptError
-		if errors.As(err, &ie) {
-			ie.Stats.Phases.Solve.Wall = d
-			ie.Stats.Phases.Compile.Wall = q.BuildWall()
-		}
-		in.flush()
-		return nil, err
-	}
-	res.Stats.Phases.Solve.Wall = in.phaseEnd("solve", t0)
-	if a1 := in.allocSnapshot(); a1 > a0 {
-		res.Stats.Phases.Solve.AllocBytes = int64(a1 - a0)
-	}
-	res.Stats.Phases.Compile.Wall = q.BuildWall()
-	in.finish(&res.Stats)
-	return res, nil
+	return nil, fmt.Errorf("core: unknown algorithm %v", opts.Algo)
 }
 
 // mtsEntry is one element of the target-and-substitution map M_ts: from the
@@ -197,15 +152,14 @@ func attachWitnesses(pairs []Pair, origins []triple, parents map[triple]parentSt
 	}
 }
 
-func existWorklist(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, error) {
+func existWorklist(g *graph.Graph, v0 int32, q *Query, opts Options, in instr) (*Result, error) {
 	if opts.Compact {
 		g = g.CompactFor(q.NFA.Labels)
 	}
 	var stats Stats
-	stats.DeterminismOK = true
 	nfa := q.NFA
 	states := nfa.NumStates
-	e, err := newEngine(g, q, nfa, opts, &stats)
+	e, err := newEngine(g, q, nfa, opts, in, &stats)
 	if err != nil {
 		return nil, err
 	}
@@ -318,32 +272,19 @@ func existWorklist(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, e
 		}
 	}
 
+	// maxBytes is the reach set's peak storage: SCC order releases
+	// finished components.
 	var maxBytes int64
-	pops, nextHW := 0, 1
+	stopped := false
+loop:
 	for bi := range buckets {
 		for len(buckets[bi]) > 0 {
-			if e.opts.cxl.state() != cxlRunning {
-				stats.ReachSize = seen.Len()
-				stats.Substs = e.table.Len()
-				stats.ResultPairs = len(pairs)
-				var exRep *Explain
-				if e.ex != nil {
-					exRep = e.ex.report(q, g, opts.Algo, "nfa")
-				}
-				return nil, e.opts.cxl.interrupt(stats, exRep)
-			}
 			t := buckets[bi][len(buckets[bi])-1]
 			buckets[bi] = buckets[bi][:len(buckets[bi])-1]
 			processTriple(t)
-			e.in.highWater(len(buckets[bi]), &nextHW)
-			if e.ex != nil {
-				e.ex.pop(len(buckets[bi]))
-			}
-			if pops++; pops&sampleMask == 0 {
-				if e.in.gauges != nil {
-					e.sample(len(buckets[bi]), seen.Len(), seen.Bytes())
-				}
-				e.progress("solve", int64(pops), int64(len(buckets[bi])), int64(seen.Len()))
+			if !e.checkpoint(len(buckets[bi]), seen) {
+				stopped = true
+				break loop
 			}
 		}
 		if opts.SCCOrder {
@@ -358,28 +299,19 @@ func existWorklist(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, e
 			}
 		}
 	}
+
 	if b := seen.Bytes(); b > maxBytes {
 		maxBytes = b
 	}
-
-	if parents != nil {
-		attachWitnesses(pairs, origins, parents)
-	}
-
 	stats.ReachSize = seen.Len()
 	stats.Substs = e.table.Len()
 	stats.ResultPairs = len(pairs)
 	stats.Bytes = maxBytes + e.table.Bytes() + e.memoBytes + mtsBytes +
 		pairsBytes(len(pairs), q.Pars())
-	if e.in.gauges != nil {
-		e.sample(0, seen.Len(), seen.Bytes())
+	if parents != nil && !stopped {
+		attachWitnesses(pairs, origins, parents)
 	}
-	sortPairs(pairs)
-	res := &Result{Pairs: pairs, Stats: stats}
-	if e.ex != nil {
-		res.Explain = e.ex.report(q, g, opts.Algo, "nfa")
-	}
-	return res, nil
+	return conclude(opts.cxl, stopped, pairs, stats, e.ex.report(q, g, opts.Algo, "nfa"))
 }
 
 // enumState is per-goroutine scratch for the enumeration algorithm's ground
@@ -506,19 +438,16 @@ func (es *enumState) run(g *graph.Graph, v0 int32, nfa *automata.NFA, th subst.S
 // With Options.Workers > 1 the independent ground passes fan out across
 // enumWorkers goroutines (existEnumParallel); the answers and deterministic
 // stats are the sequential ones.
-func existEnum(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, error) {
+func existEnum(g *graph.Graph, v0 int32, q *Query, opts Options, in instr) (*Result, error) {
 	if opts.Compact {
 		g = g.CompactFor(q.NFA.Labels)
 	}
 	var stats Stats
-	stats.DeterminismOK = true
 	nfa := q.NFA
-	in := newInstr(opts)
 	tDoms := in.phaseBegin("domains")
 	doms := ComputeDomains(q, g, opts.Domains)
 	stats.Phases.Domains.Wall = in.phaseEnd("domains", tDoms)
-	stats.EnumSubsts = doms.Count()
-	if w := enumWorkers(opts.Workers, stats.EnumSubsts); w > 1 {
+	if w := enumWorkers(opts.Workers, doms.Count()); w > 1 {
 		return existEnumParallel(g, v0, q, opts, in, doms, stats, w)
 	}
 
@@ -534,24 +463,19 @@ func existEnum(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, error
 	var maxBytes int64
 
 	enumerated := 0
-	interrupted := false
+	stopped := false
 	tEnum := in.phaseBegin("enumerate")
 	subst.ForEachFull(q.Pars(), doms, func(th subst.Subst) bool {
 		if opts.cxl.state() != cxlRunning {
-			interrupted = true
+			stopped = true
 			return false
 		}
-		if enumerated++; in.gauges != nil {
-			in.gauges.EnumSubsts.Set(int64(enumerated))
-			in.gauges.Sample(-1, int64(stats.WorklistInserts), -1, maxBytes)
-		}
-		if p := opts.Progress; p != nil {
-			p(Progress{Phase: "enumerate", Pops: int64(stats.WorklistInserts),
-				Reach: int64(stats.WorklistInserts), EnumSubsts: int64(enumerated), Workers: 1})
-		}
+		enumerated++
+		opts.progress(Progress{Phase: "enumerate", Pops: int64(stats.WorklistInserts),
+			Reach: int64(stats.WorklistInserts), Bytes: maxBytes, EnumSubsts: int64(enumerated), Workers: 1})
 		resHere := map[int32]bool{}
 		if !es.run(g, v0, nfa, th, resHere, &stats, ex, opts.cxl) {
-			interrupted = true
+			stopped = true
 			return false
 		}
 		for v := range resHere {
@@ -563,28 +487,15 @@ func existEnum(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, error
 		return true
 	})
 	stats.Phases.Enumerate.Wall = in.phaseEnd("enumerate", tEnum)
-	if interrupted {
-		stats.ReachSize = stats.WorklistInserts
-		stats.ResultPairs = len(pairs)
-		stats.EnumSubsts = enumerated
-		var exRep *Explain
-		if ex != nil {
-			ex.groundRuns = enumerated
-			exRep = ex.report(q, g, opts.Algo, "nfa")
-		}
-		return nil, opts.cxl.interrupt(stats, exRep)
-	}
 
+	stats.EnumSubsts = enumerated
 	stats.ReachSize = stats.WorklistInserts
 	stats.ResultPairs = len(pairs)
 	stats.Bytes = maxBytes + pairsBytes(len(pairs), q.Pars())
-	sortPairs(pairs)
-	res := &Result{Pairs: pairs, Stats: stats}
 	if ex != nil {
 		ex.groundRuns = enumerated
-		res.Explain = ex.report(q, g, opts.Algo, "nfa")
 	}
-	return res, nil
+	return conclude(opts.cxl, stopped, pairs, stats, ex.report(q, g, opts.Algo, "nfa"))
 }
 
 // enumWorkers is the enumeration fan-out width: the requested Workers,
@@ -673,12 +584,8 @@ func existEnumParallel(g *graph.Graph, v0 int32, q *Query, opts Options, in inst
 		if opts.cxl.state() != cxlRunning {
 			return false
 		}
-		if enumerated++; in.gauges != nil {
-			in.gauges.EnumSubsts.Set(int64(enumerated))
-		}
-		if p := opts.Progress; p != nil {
-			p(Progress{Phase: "enumerate", EnumSubsts: int64(enumerated), Workers: W})
-		}
+		enumerated++
+		opts.progress(Progress{Phase: "enumerate", EnumSubsts: int64(enumerated), Workers: W})
 		batch = append(batch, th.Clone())
 		if len(batch) >= enumBatchSize {
 			work <- batch
@@ -712,26 +619,15 @@ func existEnumParallel(g *graph.Graph, v0 int32, q *Query, opts Options, in inst
 			})
 		}
 	}
+	stats.EnumSubsts = enumerated
 	stats.ReachSize = stats.WorklistInserts
 	stats.ResultPairs = len(pairs)
 	stats.Bytes = maxBytes + pairsBytes(len(pairs), q.Pars())
-	if opts.cxl.state() != cxlRunning {
-		stats.EnumSubsts = enumerated
-		var exRep *Explain
-		if exBase != nil {
-			exBase.groundRuns = enumerated
-			exRep = exBase.report(q, g, opts.Algo, "nfa")
-			exRep.Workers = profiles
-		}
-		return nil, opts.cxl.interrupt(stats, exRep)
-	}
-	sortPairs(pairs)
-	res := &Result{Pairs: pairs, Stats: stats}
+	var rep *Explain
 	if exBase != nil {
 		exBase.groundRuns = enumerated
-		rep := exBase.report(q, g, opts.Algo, "nfa")
+		rep = exBase.report(q, g, opts.Algo, "nfa")
 		rep.Workers = profiles
-		res.Explain = rep
 	}
-	return res, nil
+	return conclude(opts.cxl, opts.cxl.state() != cxlRunning, pairs, stats, rep)
 }

@@ -383,9 +383,13 @@ func (c *explainCollector) tableGrowth() func(n int, bytes int64) {
 // enumeration/hybrid algorithms; the subset states are visited separately.
 func (c *explainCollector) groundPop() { c.groundPops++ }
 
-// report assembles the profile. q supplies name formatting; g the edge
-// labels; automaton tags which automaton the profile covers.
+// report assembles the profile, or returns nil on a nil collector (a run
+// without Explain). q supplies name formatting; g the edge labels;
+// automaton tags which automaton the profile covers.
 func (c *explainCollector) report(q *Query, g *graph.Graph, algo Algo, automaton string) *Explain {
+	if c == nil {
+		return nil
+	}
 	e := &Explain{
 		Algo:         algo.String(),
 		Automaton:    automaton,

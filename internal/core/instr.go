@@ -1,29 +1,73 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"time"
 
+	"rpq/internal/graph"
 	"rpq/internal/obs"
 )
 
-// instr is the per-run instrumentation handle: a tracer (with its enabled
-// flag cached so hot paths pay one boolean test) plus the gauges sampled by
-// the solver loops. The zero value is fully disabled.
+// instr is the per-run instrumentation handle: a tracer with its enabled
+// flag cached so hot paths pay one boolean test. The zero value is fully
+// disabled. solve builds one per run and hands it to the solver.
 type instr struct {
-	t      obs.Tracer
-	on     bool
-	gauges *obs.SolverGauges
+	t  obs.Tracer
+	on bool
 }
 
-func newInstr(opts Options) instr {
-	in := instr{t: opts.Tracer, gauges: opts.Gauges}
-	in.on = in.t != nil && in.t.Enabled()
-	return in
-}
-
-// sampleMask throttles gauge sampling: one snapshot every sampleMask+1
-// worklist pops. A power of two minus one, so the test is a single AND.
+// sampleMask throttles Progress snapshots: one every sampleMask+1 worklist
+// pops. A power of two minus one, so the test is a single AND.
 const sampleMask = 255
+
+// solverFunc is one solver pass, run by solve with the armed options and
+// the run's instr.
+type solverFunc func(g *graph.Graph, v0 int32, q *Query, opts Options, in instr) (*Result, error)
+
+// solve is the run wrapper behind ExistContext and UnivContext. It arms the
+// cancellation watcher (the context plus Options.Deadline), builds the
+// run's one instr, and brackets the pass with the compile span and the
+// solve phase. A completed run gets its phase walls, its solve-phase
+// allocation and the end-of-run counters; an interrupted one gets the
+// elapsed phase walls in its partial stats. Any failure flushes the trace,
+// so a failing run still yields a complete, parseable one.
+func solve(ctx context.Context, g *graph.Graph, v0 int32, q *Query, opts Options, pass solverFunc) (*Result, error) {
+	if int(v0) >= g.NumVertices() || v0 < 0 {
+		return nil, fmt.Errorf("core: start vertex %d out of range", v0)
+	}
+	if opts.Deadline > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, opts.Deadline)
+		defer cancel()
+	}
+	cxl, release := newCanceler(ctx)
+	defer release()
+	opts.cxl = cxl
+	in := instr{t: opts.Tracer, on: opts.Tracer != nil && opts.Tracer.Enabled()}
+	in.span("compile", q.CompileWall)
+	a0 := in.allocSnapshot()
+	t0 := in.phaseBegin("solve")
+	res, err := pass(g, v0, q, opts, in)
+	d := in.phaseEnd("solve", t0)
+	if err != nil {
+		var ie *InterruptError
+		if errors.As(err, &ie) {
+			ie.Stats.Phases.Solve.Wall = d
+			ie.Stats.Phases.Compile.Wall = q.BuildWall()
+		}
+		in.flush()
+		return nil, err
+	}
+	res.Stats.Phases.Solve.Wall = d
+	if a1 := in.allocSnapshot(); a1 > a0 {
+		res.Stats.Phases.Solve.AllocBytes = int64(a1 - a0)
+	}
+	res.Stats.Phases.Compile.Wall = q.BuildWall()
+	in.finish(&res.Stats)
+	return res, nil
+}
 
 // growthHook returns a table-growth tracer callback emitting snapshots at
 // power-of-two sizes (bounded event volume on any run), or nil when tracing

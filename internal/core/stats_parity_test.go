@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"rpq/internal/graph"
@@ -15,7 +17,9 @@ import (
 // both table representations and both query kinds, fills the phase timings
 // consistently, keeps DeterminismOK semantics, reports a positive Bytes
 // model, and — crucially — computes the same answers with a live tracer and
-// gauges attached as with none (observability must never change results).
+// Progress callback attached as with none (observability must never change
+// results). The trace of every variant, hybrid included, holds exactly one
+// compile span, one solve phase and one event per end-of-run counter.
 func TestStatsParityAcrossAlgorithms(t *testing.T) {
 	existGraph := graph.MustReadString(figure1)
 	univGraph := graph.MustReadString(`
@@ -59,8 +63,9 @@ edge v1 def(a) v2
 				plain := runQuery(Options{Algo: v.algo, Table: tk})
 
 				ring := obs.NewRingSink(1024)
-				gauges := obs.NewSolverGauges(obs.NewRegistry())
-				traced := runQuery(Options{Algo: v.algo, Table: tk, Tracer: ring, Gauges: gauges})
+				snapshots := 0
+				traced := runQuery(Options{Algo: v.algo, Table: tk, Tracer: ring,
+					Progress: func(Progress) { snapshots++ }})
 
 				// Observability must not perturb the answers.
 				if !reflect.DeepEqual(pairKeys(plain), pairKeys(traced)) {
@@ -70,6 +75,10 @@ edge v1 def(a) v2
 				if ring.Total() == 0 {
 					t.Fatal("ring tracer recorded no events")
 				}
+				if enumerating := v.algo == AlgoEnum || v.algo == AlgoHybrid; enumerating && snapshots == 0 {
+					t.Fatalf("%v: no Progress snapshot from the enumeration phase", v.algo)
+				}
+				checkOneRunTrace(t, ring)
 
 				for _, res := range []*Result{plain, traced} {
 					s := res.Stats
@@ -109,6 +118,41 @@ edge v1 def(a) v2
 						plain.Stats.Phases.Solve.AllocBytes)
 				}
 			})
+		}
+	}
+}
+
+// endCounters are the end-of-run counter events instr.finish emits.
+var endCounters = []string{"worklist_inserts", "reach_size", "match_calls",
+	"match_cache_hits", "match_cache_misses", "merge_calls", "substs",
+	"enum_substs", "result_pairs", "bytes", "peak_triples"}
+
+// checkOneRunTrace requires the trace of one run to hold exactly one
+// compile span, one solve begin/end pair and one event per end-of-run
+// counter: an inner pass (the hybrid algorithm's existential one) must not
+// trace a run of its own.
+func checkOneRunTrace(t *testing.T, ring *obs.RingSink) {
+	t.Helper()
+	evs := ring.Snapshot()
+	if len(evs) != ring.Total() {
+		t.Fatalf("ring kept %d of %d events; enlarge it", len(evs), ring.Total())
+	}
+	counts := map[string]int{}
+	for _, ev := range evs {
+		counts[fmt.Sprintf("%v %s", ev.Kind, ev.Name)]++
+	}
+	want := []string{"span compile", "phase_begin solve", "phase_end solve"}
+	for _, c := range endCounters {
+		want = append(want, "counter "+c)
+	}
+	for _, k := range want {
+		if counts[k] != 1 {
+			t.Errorf("trace has %d %q events, want 1", counts[k], k)
+		}
+	}
+	for k, n := range counts {
+		if strings.HasPrefix(k, "counter ") && !slices.Contains(want, k) {
+			t.Errorf("trace has %d unexpected %q events", n, k)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"rpq/internal/automata"
@@ -30,59 +29,18 @@ func Univ(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, error) {
 // (and, under Options.Explain, the profile) accumulated so far. The hybrid
 // algorithm threads the same watcher through its inner existential pass.
 func UnivContext(ctx context.Context, g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, error) {
-	if int(v0) >= g.NumVertices() || v0 < 0 {
-		return nil, fmt.Errorf("core: start vertex %d out of range", v0)
-	}
 	if opts.Compact {
 		return nil, fmt.Errorf("core: compaction is unsound for universal queries")
 	}
-	if opts.cxl == nil {
-		if opts.Deadline > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, opts.Deadline)
-			defer cancel()
-		}
-		cxl, release := newCanceler(ctx)
-		defer release()
-		opts.cxl = cxl
-	}
-	in := newInstr(opts)
-	in.span("compile", q.CompileWall)
-	a0 := in.allocSnapshot()
-	t0 := in.phaseBegin("solve")
-	var res *Result
-	var err error
 	switch opts.Algo {
 	case AlgoBasic, AlgoMemo, AlgoPrecomp:
-		res, err = univWorklist(g, v0, q, opts)
+		return solve(ctx, g, v0, q, opts, univWorklist)
 	case AlgoEnum:
-		res, err = univEnum(g, v0, q, opts)
+		return solve(ctx, g, v0, q, opts, univEnum)
 	case AlgoHybrid:
-		res, err = univHybrid(g, v0, q, opts)
-	default:
-		return nil, fmt.Errorf("core: unknown algorithm %v", opts.Algo)
+		return solve(ctx, g, v0, q, opts, univHybrid)
 	}
-	if err != nil {
-		// Close the phase and flush buffered trace events so a failing run
-		// (e.g. a determinism-check abort) still yields a parseable trace.
-		// Interrupted runs get their phase walls stamped into the partial
-		// stats.
-		d := in.phaseEnd("solve", t0)
-		var ie *InterruptError
-		if errors.As(err, &ie) {
-			ie.Stats.Phases.Solve.Wall = d
-			ie.Stats.Phases.Compile.Wall = q.BuildWall()
-		}
-		in.flush()
-		return nil, err
-	}
-	res.Stats.Phases.Solve.Wall = in.phaseEnd("solve", t0)
-	if a1 := in.allocSnapshot(); a1 > a0 {
-		res.Stats.Phases.Solve.AllocBytes = int64(a1 - a0)
-	}
-	res.Stats.Phases.Compile.Wall = q.BuildWall()
-	in.finish(&res.Stats)
-	return res, nil
+	return nil, fmt.Errorf("core: unknown algorithm %v", opts.Algo)
 }
 
 // dsEntry is one element of the determinism-and-substitution map M_ds,
@@ -100,9 +58,8 @@ type dsEntry struct {
 // variants folded in. The automaton is the opaque-label determinization of
 // the pattern; the badstate is represented as state index dfa.NumStates and
 // badsubst as substitution key badSubstKey.
-func univWorklist(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, error) {
+func univWorklist(g *graph.Graph, v0 int32, q *Query, opts Options, in instr) (*Result, error) {
 	var stats Stats
-	stats.DeterminismOK = true
 	dfa := q.DFA()
 	switch opts.Completion {
 	case CompleteTrap:
@@ -117,7 +74,7 @@ func univWorklist(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, er
 	}
 	states := dfa.NumStates
 	badstate := int32(states)
-	e, err := newEngine(g, q, dfa, opts, &stats)
+	e, err := newEngine(g, q, dfa, opts, in, &stats)
 	if err != nil {
 		return nil, err
 	}
@@ -186,29 +143,16 @@ func univWorklist(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, er
 	badU := make([]bool, g.NumVertices())
 
 	var detErr error
-	pops, nextHW := 0, 1
+	stopped := false
 	for len(work) > 0 && detErr == nil {
-		if e.opts.cxl.state() != cxlRunning {
-			stats.ReachSize = seen.Len()
-			stats.Substs = e.table.Len()
-			var exRep *Explain
-			if e.ex != nil {
-				exRep = e.ex.report(q, g, opts.Algo, "dfa")
-			}
-			return nil, e.opts.cxl.interrupt(stats, exRep)
-		}
 		t := work[len(work)-1]
 		work = work[:len(work)-1]
-		e.in.highWater(len(work), &nextHW)
+		if !e.checkpoint(len(work), seen) {
+			stopped = true
+			break
+		}
 		if e.ex != nil {
 			e.ex.visit(t.s)
-			e.ex.pop(len(work))
-		}
-		if pops++; pops&sampleMask == 0 {
-			if e.in.gauges != nil {
-				e.sample(len(work), seen.Len(), seen.Bytes())
-			}
-			e.progress("solve", int64(pops), int64(len(work)), int64(seen.Len()))
 		}
 
 		// Successor generation with the determinism check.
@@ -309,7 +253,6 @@ func univWorklist(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, er
 		}
 	}
 	if detErr != nil {
-		stats.DeterminismOK = false
 		return nil, detErr
 	}
 
@@ -324,13 +267,5 @@ func univWorklist(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, er
 	stats.ResultPairs = len(pairs)
 	stats.Bytes = seen.Bytes() + e.table.Bytes() + e.memoBytes + mdsBytes +
 		int64(g.NumVertices())*(1+24+1) + pairsBytes(len(pairs), q.Pars())
-	if e.in.gauges != nil {
-		e.sample(0, seen.Len(), seen.Bytes())
-	}
-	sortPairs(pairs)
-	res := &Result{Pairs: pairs, Stats: stats}
-	if e.ex != nil {
-		res.Explain = e.ex.report(q, g, opts.Algo, "dfa")
-	}
-	return res, nil
+	return conclude(opts.cxl, stopped, pairs, stats, e.ex.report(q, g, opts.Algo, "dfa"))
 }

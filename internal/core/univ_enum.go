@@ -99,14 +99,11 @@ func groundUniv(g *graph.Graph, v0 int32, q *Query, th subst.Subst, stats *Stats
 // univEnum is the enumeration algorithm of Section 4: a parameter-free
 // universal query per full substitution over the parameter domains. Time
 // O(|G| × maxTrans × substs); space as small as a single ground run.
-func univEnum(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, error) {
+func univEnum(g *graph.Graph, v0 int32, q *Query, opts Options, in instr) (*Result, error) {
 	var stats Stats
-	stats.DeterminismOK = true
-	in := newInstr(opts)
 	tDoms := in.phaseBegin("domains")
 	doms := ComputeDomains(q, g, opts.Domains)
 	stats.Phases.Domains.Wall = in.phaseEnd("domains", tDoms)
-	stats.EnumSubsts = doms.Count()
 	var ex *explainCollector
 	if opts.Explain {
 		ex = newExplainCollector(q.NFA, g.NumLabels())
@@ -118,54 +115,36 @@ func univEnum(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, error)
 		if opts.cxl.state() != cxlRunning {
 			return false
 		}
-		if enumerated++; in.gauges != nil {
-			in.gauges.EnumSubsts.Set(int64(enumerated))
-			in.gauges.Sample(-1, int64(stats.WorklistInserts), -1, stats.Bytes)
-		}
-		if p := opts.Progress; p != nil {
-			p(Progress{Phase: "enumerate", Reach: int64(stats.WorklistInserts),
-				EnumSubsts: int64(enumerated), Workers: 1})
-		}
+		enumerated++
+		opts.progress(Progress{Phase: "enumerate", Reach: int64(stats.WorklistInserts),
+			Bytes: stats.Bytes, EnumSubsts: int64(enumerated), Workers: 1})
 		for _, v := range groundUniv(g, v0, q, th, &stats, ex, opts.cxl) {
 			pairs = append(pairs, Pair{Vertex: v, Subst: th.Clone()})
 		}
 		return true
 	})
 	stats.Phases.Enumerate.Wall = in.phaseEnd("enumerate", tEnum)
-	if opts.cxl.state() != cxlRunning {
-		stats.ReachSize = stats.WorklistInserts
-		stats.ResultPairs = len(pairs)
-		stats.EnumSubsts = enumerated
-		var exRep *Explain
-		if ex != nil {
-			exRep = ex.report(q, g, opts.Algo, "nfa")
-		}
-		return nil, opts.cxl.interrupt(stats, exRep)
-	}
-	stats.ResultPairs = len(pairs)
+
+	stats.EnumSubsts = enumerated
 	stats.ReachSize = stats.WorklistInserts
+	stats.ResultPairs = len(pairs)
 	stats.Bytes += pairsBytes(len(pairs), q.Pars())
-	sortPairs(pairs)
-	res := &Result{Pairs: pairs, Stats: stats}
-	if ex != nil {
-		res.Explain = ex.report(q, g, opts.Algo, "nfa")
-	}
-	return res, nil
+	return conclude(opts.cxl, opts.cxl.state() != cxlRunning, pairs, stats, ex.report(q, g, opts.Algo, "nfa"))
 }
 
 // univHybrid refines enumeration (Section 4): an existential query first
 // computes the substitutions involved in matching on some path; only full
 // extensions of those are enumerated for the ground universal passes. The
-// idea is also used by de Moor et al.
-func univHybrid(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, error) {
+// idea is also used by de Moor et al. The existential pass runs inside this
+// run (same watcher, instr and trace), not as a run of its own.
+func univHybrid(g *graph.Graph, v0 int32, q *Query, opts Options, in instr) (*Result, error) {
 	exOpts := opts
 	exOpts.Algo = AlgoMemo
-	ex, err := Exist(g, v0, q, exOpts)
+	ex, err := existWorklist(g, v0, q, exOpts, in)
 	if err != nil {
 		return nil, err
 	}
 	var stats Stats
-	stats.DeterminismOK = true
 	stats.WorklistInserts = ex.Stats.WorklistInserts
 	stats.MatchCalls = ex.Stats.MatchCalls
 	stats.MatchCacheHits = ex.Stats.MatchCacheHits
@@ -173,7 +152,6 @@ func univHybrid(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, erro
 	stats.MergeCalls = ex.Stats.MergeCalls
 	stats.Bytes = ex.Stats.Bytes
 
-	in := newInstr(opts)
 	tDoms := in.phaseBegin("domains")
 	doms := ComputeDomains(q, g, opts.Domains)
 	stats.Phases.Domains.Wall = in.phaseEnd("domains", tDoms)
@@ -201,7 +179,6 @@ func univHybrid(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, erro
 			return true
 		})
 	}
-	stats.EnumSubsts = len(order)
 	// gc profiles the ground passes; the inner existential profile (same NFA
 	// state space) is absorbed into its report below.
 	var gc *explainCollector
@@ -216,40 +193,22 @@ func univHybrid(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, erro
 			break
 		}
 		ground = i + 1
-		if in.gauges != nil {
-			in.gauges.EnumSubsts.Set(int64(i + 1))
-			in.gauges.Sample(-1, int64(stats.WorklistInserts), int64(cand.Len()), stats.Bytes)
-		}
-		if p := opts.Progress; p != nil {
-			p(Progress{Phase: "enumerate", Reach: int64(stats.WorklistInserts),
-				Substs: int64(cand.Len()), EnumSubsts: int64(i + 1), Workers: 1})
-		}
+		opts.progress(Progress{Phase: "enumerate", Reach: int64(stats.WorklistInserts),
+			Substs: int64(cand.Len()), Bytes: stats.Bytes, EnumSubsts: int64(ground), Workers: 1})
 		th := cand.Get(key)
 		for _, v := range groundUniv(g, v0, q, th, &stats, gc, opts.cxl) {
 			pairs = append(pairs, Pair{Vertex: v, Subst: th.Clone()})
 		}
 	}
 	stats.Phases.Enumerate.Wall = in.phaseEnd("enumerate", tEnum)
-	if opts.cxl.state() != cxlRunning {
-		stats.ReachSize = stats.WorklistInserts
-		stats.ResultPairs = len(pairs)
-		stats.EnumSubsts = ground
-		var exRep *Explain
-		if gc != nil {
-			exRep = gc.report(q, g, opts.Algo, "nfa")
-			exRep.absorb(ex.Explain)
-		}
-		return nil, opts.cxl.interrupt(stats, exRep)
-	}
-	stats.ResultPairs = len(pairs)
+
+	stats.EnumSubsts = ground
 	stats.ReachSize = stats.WorklistInserts
+	stats.ResultPairs = len(pairs)
 	stats.Bytes += cand.Bytes() + pairsBytes(len(pairs), q.Pars())
-	sortPairs(pairs)
-	res := &Result{Pairs: pairs, Stats: stats}
-	if gc != nil {
-		rep := gc.report(q, g, opts.Algo, "nfa")
+	rep := gc.report(q, g, opts.Algo, "nfa")
+	if rep != nil {
 		rep.absorb(ex.Explain)
-		res.Explain = rep
 	}
-	return res, nil
+	return conclude(opts.cxl, opts.cxl.state() != cxlRunning, pairs, stats, rep)
 }

@@ -358,10 +358,10 @@ func WriteBuildInfo(w io.Writer) {
 		goVersion, path, revision, modified)
 }
 
-// SolverGauges is the live view of a running query that the solvers sample
-// every few hundred worklist pops: current worklist depth, reach-set size,
-// interned substitutions, and approximate table bytes, plus monotonic
-// query/slow-query totals maintained by the rpq layer.
+// SolverGauges is the live view of a running query, written by the rpq
+// layer from the solver's Progress snapshots (every few hundred worklist
+// pops): current worklist depth, reach-set size, interned substitutions,
+// and approximate table bytes, plus monotonic query/slow-query totals.
 type SolverGauges struct {
 	WorklistDepth *Gauge
 	ReachSize     *Gauge
@@ -410,22 +410,14 @@ func NewSolverGauges(r *Registry) *SolverGauges {
 	}
 }
 
-// Sample stores one live snapshot; any negative argument leaves the
-// corresponding gauge untouched, letting callers update a subset.
+// Sample stores one live snapshot of the running query's worklist depth,
+// reach-set size, interned substitutions and modeled bytes.
 func (s *SolverGauges) Sample(worklist, reach, substs, bytes int64) {
 	if s == nil {
 		return
 	}
-	if worklist >= 0 {
-		s.WorklistDepth.Set(worklist)
-	}
-	if reach >= 0 {
-		s.ReachSize.Set(reach)
-	}
-	if substs >= 0 {
-		s.Substs.Set(substs)
-	}
-	if bytes >= 0 {
-		s.TableBytes.Set(bytes)
-	}
+	s.WorklistDepth.Set(worklist)
+	s.ReachSize.Set(reach)
+	s.Substs.Set(substs)
+	s.TableBytes.Set(bytes)
 }

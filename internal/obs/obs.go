@@ -5,10 +5,11 @@
 // check in the solver hot loops.
 //
 // The pieces fit together as follows. Solvers emit Events through a Tracer;
-// sinks (RingSink, NDJSONSink, ChromeSink) record them. Solvers also sample
-// live gauges (SolverGauges) backed by an atomic Registry, which the HTTP
-// server exposes at /metrics while a query is running. A SlowLog records
-// queries whose wall-clock time crosses a threshold.
+// sinks (RingSink, NDJSONSink, ChromeSink) record them. The solvers'
+// Progress snapshots feed live gauges (SolverGauges) backed by an atomic
+// Registry, which the HTTP server exposes at /metrics while a query is
+// running. A SlowLog records queries whose wall-clock time crosses a
+// threshold.
 package obs
 
 import (

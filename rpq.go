@@ -329,9 +329,12 @@ type Options struct {
 	// tracing; the no-op path costs one branch per query. See
 	// NewRingTracer, NewNDJSONTracer, and NewChromeTracer for sinks.
 	Tracer Tracer
-	// Gauges receives live samples of worklist depth, reach-set size,
-	// interned substitutions, and table bytes every few hundred worklist
-	// pops, so the /metrics endpoint can expose a query in flight. Use
+	// Gauges receives the live view of the run: each Progress snapshot
+	// (worklist depth, reach-set size, interned substitutions, modeled
+	// bytes, enumerated substitutions) is written to it before Progress is
+	// called, so the /metrics endpoint can expose a query in flight. At the
+	// end of the run it holds depth 0 and the run's Stats.ReachSize,
+	// Substs and Bytes, and it counts the query and its latency. Use
 	// LiveGauges for a process-wide set served by ServeObservability.
 	Gauges *SolverGauges
 	// SlowLog, when non-nil, records queries whose wall-clock time
@@ -352,8 +355,9 @@ type Options struct {
 	Deadline time.Duration
 	// Progress, when non-nil, receives live snapshots of the run every few
 	// hundred worklist pops (and once per enumerated substitution in the
-	// enumeration phases). The callback runs on a solver goroutine — keep it
-	// cheap and do not block.
+	// enumeration phases), after Gauges and the in-flight entry have been
+	// updated from the same snapshot. The callback runs on a solver
+	// goroutine — keep it cheap and do not block.
 	Progress func(Progress)
 	// Watchdog, when non-nil with a Dir, turns anomalies into diagnostic
 	// bundles: it attaches an always-on flight-recorder event ring to the
@@ -470,7 +474,8 @@ func TraceFromContext(ctx context.Context) (TraceContext, bool) { return obs.Tra
 
 // Progress is one live snapshot of a running query, delivered to
 // Options.Progress: the current phase, worklist pops and depth, reach-set
-// and substitution-table sizes, enumeration progress, and worker count.
+// and substitution-table sizes, modeled bytes, enumeration progress, and
+// worker count.
 type Progress = core.Progress
 
 // InterruptError is returned when a query is canceled or exceeds its
@@ -810,12 +815,20 @@ func beginRun(ctx context.Context, opts *Options, kind, query string, lint any, 
 	// Stamp outermost so every sink below — user tracer and flight ring
 	// alike — records the trace identity on each event.
 	co.Tracer = obs.StampTrace(co.Tracer, rs.trace)
+	// The solver's Progress snapshots are its only live outlet: the live
+	// gauges, the in-flight entry and the caller's callback are all fed
+	// from them.
 	var userProg func(Progress)
+	var gauges *SolverGauges
 	if opts != nil {
-		userProg = opts.Progress
+		userProg, gauges = opts.Progress, opts.Gauges
 	}
 	iq := rs.iq
 	co.Progress = func(p core.Progress) {
+		if gauges != nil {
+			gauges.Sample(p.WorklistDepth, p.Reach, p.Substs, p.Bytes)
+			gauges.EnumSubsts.Set(p.EnumSubsts)
+		}
 		iq.Update(p.Phase, p.Pops, p.WorklistDepth, p.Reach, p.Substs, p.EnumSubsts, p.Workers)
 		if userProg != nil {
 			userProg(p)
@@ -845,7 +858,9 @@ func (rs *runState) end() {
 }
 
 // finish completes the run's observability: stop the hung timer, unregister
-// the in-flight entry, feed the latency histograms and query gauges, dump a
+// the in-flight entry, write the end-of-run gauge values (worklist depth 0,
+// the run's reach size, substitutions and bytes), feed the latency
+// histograms and query gauges, dump a
 // watchdog bundle on anomaly (deadline breach, cancellation, slow run), and
 // record the slow-query log entry (with the bundle path when one was
 // written). It handles both outcomes — res on success, err (possibly an
@@ -896,6 +911,9 @@ func (rs *runState) finish(res *Result, err error) {
 		gauges = opts.Gauges
 	}
 	if gauges != nil {
+		if stats != nil {
+			gauges.Sample(0, int64(stats.ReachSize), int64(stats.Substs), stats.Bytes)
+		}
 		gauges.Queries.Add(1)
 		traceID := ""
 		if rs.trace.IsValid() {
@@ -1064,7 +1082,6 @@ func (g *Graph) resolve(opts *Options, universal bool) (*graph.Graph, int32, cor
 		Witnesses:  opts.Witnesses,
 		Workers:    opts.Workers,
 		Tracer:     opts.Tracer,
-		Gauges:     opts.Gauges,
 		Explain:    opts.Explain,
 	}
 	switch opts.Algorithm {

@@ -259,3 +259,58 @@ func TestObservabilityConfigDisables(t *testing.T) {
 		t.Fatalf("/debug/rpq/ts with store disabled: HTTP %d, want 501", resp.StatusCode)
 	}
 }
+
+// TestLiveGaugesFollowProgress checks that the live solver gauges are a
+// projection of the Progress snapshots: inside the callback each gauge holds
+// the snapshot's field, and after the run the gauges hold depth 0 and the
+// run's reach size, substitutions and bytes. It covers a worklist run and an
+// enumeration run.
+func TestLiveGaugesFollowProgress(t *testing.T) {
+	g := telemetryGraph(t)
+	for _, algo := range []Algorithm{Memo, Enumerate} {
+		t.Run(algo.String(), func(t *testing.T) {
+			gauges := obs.NewSolverGauges(obs.NewRegistry())
+			snapshots := 0
+			res, err := g.Exist(MustParsePattern("_* use(x)"), &Options{
+				Algorithm: algo,
+				Gauges:    gauges,
+				Progress: func(p Progress) {
+					snapshots++
+					for _, c := range []struct {
+						name      string
+						got, want int64
+					}{
+						{"rpq_worklist_depth", gauges.WorklistDepth.Value(), p.WorklistDepth},
+						{"rpq_reach_size", gauges.ReachSize.Value(), p.Reach},
+						{"rpq_substs_interned", gauges.Substs.Value(), p.Substs},
+						{"rpq_table_bytes", gauges.TableBytes.Value(), p.Bytes},
+						{"rpq_enum_substs", gauges.EnumSubsts.Value(), p.EnumSubsts},
+					} {
+						if c.got != c.want {
+							t.Errorf("snapshot %d: %s = %d, want %d", snapshots, c.name, c.got, c.want)
+						}
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snapshots == 0 {
+				t.Fatal("no Progress snapshot; the run is too small to test the live gauges")
+			}
+			s := res.Stats
+			if d := gauges.WorklistDepth.Value(); d != 0 {
+				t.Errorf("rpq_worklist_depth after the run = %d, want 0", d)
+			}
+			if r := gauges.ReachSize.Value(); r != int64(s.ReachSize) {
+				t.Errorf("rpq_reach_size after the run = %d, want Stats.ReachSize %d", r, s.ReachSize)
+			}
+			if n := gauges.Substs.Value(); n != int64(s.Substs) {
+				t.Errorf("rpq_substs_interned after the run = %d, want Stats.Substs %d", n, s.Substs)
+			}
+			if b := gauges.TableBytes.Value(); b != s.Bytes || b <= 0 {
+				t.Errorf("rpq_table_bytes after the run = %d, want Stats.Bytes %d > 0", b, s.Bytes)
+			}
+		})
+	}
+}
