@@ -44,8 +44,8 @@ var (
 	workloadCache = map[string]*workload{}
 )
 
-func progWorkload(b *testing.B, spec gen.ProgSpec) *workload {
-	b.Helper()
+func progWorkload(tb testing.TB, spec gen.ProgSpec) *workload {
+	tb.Helper()
 	workloadMu.Lock()
 	defer workloadMu.Unlock()
 	if w, ok := workloadCache[spec.Name]; ok {
@@ -62,15 +62,15 @@ func progWorkload(b *testing.B, spec gen.ProgSpec) *workload {
 		}
 	}
 	if start < 0 {
-		b.Fatal("no exit edge in generated program")
+		tb.Fatal("no exit edge in generated program")
 	}
 	w := &workload{fwd: g, bwd: r, bwdStart: start}
 	workloadCache[spec.Name] = w
 	return w
 }
 
-func ltsWorkload(b *testing.B, spec gen.LTSSpec) *graph.Graph {
-	b.Helper()
+func ltsWorkload(tb testing.TB, spec gen.LTSSpec) *graph.Graph {
+	tb.Helper()
 	workloadMu.Lock()
 	defer workloadMu.Unlock()
 	if w, ok := workloadCache[spec.Name]; ok {
@@ -104,11 +104,11 @@ func benchQuery(b *testing.B, g *graph.Graph, start int32, pat string, opts core
 
 // BenchmarkExist compares the solver with no tracer against the same run
 // with the no-op tracer installed, on a mid-sized Table 1 program. The two
-// sub-benchmarks must stay within noise (±5%) of each other: tracing that is
-// off may cost at most one cached boolean test per hot-path event site. The
-// explain sub-benchmark measures the full profiling cost (counters at every
-// match site plus curve sampling) for comparison; it is expected to run a
-// few percent slower.
+// sub-benchmarks are meant to read alike, since tracing that is off costs
+// one cached boolean test per hot-path event site; nothing gates the pair,
+// so compare them by hand. The explain sub-benchmark measures the full
+// profiling cost (counters at every match site plus curve sampling) for
+// comparison; it is expected to run a few percent slower.
 func BenchmarkExist(b *testing.B) {
 	spec := gen.Table1Specs()[4]
 	for _, bench := range []struct {
@@ -125,10 +125,11 @@ func BenchmarkExist(b *testing.B) {
 		})
 	}
 
-	// Continuous-profiler overhead: prof-on must stay within ~2% of
-	// prof-off (the CI bench job compares the pair). The profiler runs at
-	// the default 10s/60s duty cycle scaled down so a benchmark iteration
-	// actually overlaps capture windows.
+	// Continuous-profiler overhead: prof-on against prof-off. CI runs the
+	// pair for its log only; no job compares them, because shared runners
+	// are noisier than the ~2% the default duty cycle aims for. The
+	// profiler runs at the default 10s/60s duty cycle scaled down so a
+	// benchmark iteration actually overlaps capture windows.
 	b.Run("prof-off", func(b *testing.B) {
 		w := progWorkload(b, spec)
 		benchQuery(b, w.bwd, w.bwdStart, bwdUninitPattern, core.Options{Algo: core.AlgoMemo})

@@ -15,7 +15,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -37,9 +36,6 @@ import (
 // gauges served at /metrics.
 var liveProgress func(core.Progress)
 
-// section labels bench entries with the table/figure/ablation being run.
-var section string
-
 // workerCount is the -workers flag: enumeration fan-out goroutines for
 // every measured existential query (<=1 sequential).
 var workerCount int
@@ -48,72 +44,19 @@ var workerCount int
 // measured query exceeding it aborts the run with its partial statistics.
 var queryTimeout time.Duration
 
-// explainOn is the -explain flag: collect execution profiles for every
-// measured query and carry the hot-state fields into the bench entries.
-var explainOn bool
-
-// benchEntry is one machine-comparable measurement, in the shape of a
-// `go test -bench` result plus the solver counters (BENCH_*.json style).
-type benchEntry struct {
-	Name            string `json:"name"`
-	NsPerOp         int64  `json:"ns_per_op"`
-	WorklistInserts int    `json:"worklist_inserts"`
-	MatchCalls      int    `json:"match_calls"`
-	EnumSubsts      int    `json:"enum_substs"`
-	ResultPairs     int    `json:"result_pairs"`
-	Bytes           int64  `json:"bytes"`
-	SolveNS         int64  `json:"solve_ns"`
-	// Populated under -explain: total match attempts and the hottest
-	// automaton state by visit count.
-	MatchAttempts  int64  `json:"match_attempts,omitempty"`
-	HotState       string `json:"hot_state,omitempty"`
-	HotStateVisits int64  `json:"hot_state_visits,omitempty"`
-}
-
-var benchEntries []benchEntry
-
-// record appends one bench entry; run() calls it for every measured query.
-func record(name string, res *core.Result, dt time.Duration) {
-	e := benchEntry{
-		Name:            name,
-		NsPerOp:         dt.Nanoseconds(),
-		WorklistInserts: res.Stats.WorklistInserts,
-		MatchCalls:      res.Stats.MatchCalls,
-		EnumSubsts:      res.Stats.EnumSubsts,
-		ResultPairs:     res.Stats.ResultPairs,
-		Bytes:           res.Stats.Bytes,
-		SolveNS:         res.Stats.Phases.Solve.Wall.Nanoseconds(),
-	}
-	if ex := res.Explain; ex != nil {
-		e.MatchAttempts = ex.Totals.Attempts
-		if top := ex.TopStates(1); len(top) > 0 {
-			if top[0].Bad {
-				e.HotState = "bad"
-			} else {
-				e.HotState = fmt.Sprintf("s%d", top[0].State)
-			}
-			e.HotStateVisits = top[0].Visits
-		}
-	}
-	benchEntries = append(benchEntries, e)
-}
-
 func main() {
 	var (
-		table     = flag.Int("table", 0, "regenerate Table 1, 2, or 3")
-		figure    = flag.Int("figure", 0, "regenerate Figure 3")
-		ablation  = flag.String("ablation", "", "direction|memo|domains|compact|scc|complete|workers")
-		all       = flag.Bool("all", false, "run everything")
-		workers   = flag.Int("workers", 1, "enumeration fan-out goroutines for every measured existential query (<=1 sequential)")
-		timeout   = flag.Duration("timeout", 0, "per-query wall-clock bound; exceeding it aborts with partial stats")
-		maxCost   = flag.Float64("enumcost", 2e7, "run enumeration only when substs×edges is below this (n/d otherwise, like the paper's 180 s limit)")
-		httpAddr  = flag.String("http", "", "serve /metrics, /debug/vars, and /debug/pprof on this address during the run")
-		benchJSON = flag.String("benchjson", "", "write a BENCH_*.json-compatible summary of every measured query to this file")
-		explain   = flag.Bool("explain", false, "collect execution profiles; bench entries gain match_attempts and hot_state fields")
+		table    = flag.Int("table", 0, "regenerate Table 1, 2, or 3")
+		figure   = flag.Int("figure", 0, "regenerate Figure 3")
+		ablation = flag.String("ablation", "", "direction|memo|domains|compact|scc|complete|workers")
+		all      = flag.Bool("all", false, "run everything")
+		workers  = flag.Int("workers", 1, "enumeration fan-out goroutines for every measured existential query (<=1 sequential)")
+		timeout  = flag.Duration("timeout", 0, "per-query wall-clock bound; exceeding it aborts with partial stats")
+		maxCost  = flag.Float64("enumcost", 2e7, "run enumeration only when substs×edges is below this (n/d otherwise, like the paper's 180 s limit)")
+		httpAddr = flag.String("http", "", "serve /metrics, /debug/vars, and /debug/pprof on this address during the run")
 	)
 	flag.Parse()
 	workerCount = *workers
-	explainOn = *explain
 	queryTimeout = *timeout
 
 	if *httpAddr != "" {
@@ -162,32 +105,11 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *benchJSON != "" {
-		f, err := os.Create(*benchJSON)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		err = enc.Encode(struct {
-			Benchmarks []benchEntry `json:"benchmarks"`
-		}{benchEntries})
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "experiments: wrote %d bench entries to %s\n", len(benchEntries), *benchJSON)
-	}
 }
 
 // run executes one query and returns the result with wall-clock time.
 func run(g *graph.Graph, start int32, pat string, opts core.Options) (*core.Result, time.Duration) {
 	opts.Progress = liveProgress
-	opts.Explain = explainOn
 	opts.Deadline = queryTimeout
 	if opts.Workers == 0 {
 		opts.Workers = workerCount
@@ -205,9 +127,7 @@ func run(g *graph.Graph, start int32, pat string, opts core.Options) (*core.Resu
 		}
 		os.Exit(1)
 	}
-	dt := time.Since(t0)
-	record(fmt.Sprintf("%s/%s/%s", section, opts.Algo, opts.Table), res, dt)
-	return res, dt
+	return res, time.Since(t0)
 }
 
 // backwardSetup reverses the graph and finds the post-exit start vertex.
@@ -237,7 +157,6 @@ func table1() {
 		"input", "LOC", "edges", "result",
 		"basic-wl", "time", "pre-wl", "time", "enum-wl", "time", "substs")
 	for _, spec := range gen.Table1Specs() {
-		section = "table1/" + spec.Name
 		g := gen.Program(spec)
 		rg, rstart := backwardSetup(g)
 
@@ -261,7 +180,6 @@ func table2(maxCost float64) {
 		"input", "states", "edges", "result",
 		"basic-wl", "time", "pre-wl", "time", "enum-wl", "time", "substs")
 	for _, spec := range gen.Table2Specs() {
-		section = "table2/" + spec.Name
 		l := gen.RandomLTS(spec)
 		g := l.ForExistential()
 
@@ -294,7 +212,6 @@ func table3() {
 		"p-hash", "time", "p-nested", "time",
 		"e-hash", "time", "e-nested", "time")
 	for _, spec := range gen.Table1Specs() {
-		section = "table3/" + spec.Name
 		g := gen.Program(spec)
 		rg, rstart := backwardSetup(g)
 		row := fmt.Sprintf("%-10s |", spec.Name)
@@ -321,7 +238,6 @@ func figure3() {
 	fmt.Println("(basic algorithm, backward uninitialized-uses query)")
 	fmt.Printf("%8s %10s %10s %12s\n", "edges", "worklist", "time(ms)", "wl/edges")
 	for i, edges := range []int{500, 1000, 1500, 2000, 3000, 4000, 5000, 6000, 7000, 8000, 9000, 10000} {
-		section = fmt.Sprintf("figure3/%d", edges)
 		spec := gen.ProgSpec{
 			Name: fmt.Sprintf("sweep-%d", edges), LOC: 0, Seed: int64(3000 + i),
 			Edges: edges, Vars: 40 + edges/25, UninitFrac: 0.12,
@@ -338,7 +254,6 @@ func figure3() {
 }
 
 func runAblation(name string) {
-	section = "ablation/" + name
 	spec := gen.Table1Specs()[4] // "cut": mid-sized
 	g := gen.Program(spec)
 	rg, rstart := backwardSetup(g)
@@ -417,7 +332,6 @@ func runAblation(name string) {
 				os.Exit(1)
 			}
 			dt := time.Since(t0)
-			record(fmt.Sprintf("%s/univ/%s", section, cm), res, dt)
 			fmt.Printf("  %-11s worklist %8d  match calls %9d  bytes %8dk  time %8.3fs  answers %d\n",
 				cm.String()+":", res.Stats.WorklistInserts, res.Stats.MatchCalls,
 				res.Stats.Bytes/1024, dt.Seconds(), res.Stats.ResultPairs)

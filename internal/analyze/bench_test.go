@@ -9,8 +9,9 @@ import (
 
 // The lint pass must stay far below solve cost — the Options.Lint gate and
 // the watchdog both run it inline ahead of real queries. These benchmarks
-// pin its cost on the same pinned workload cmd/bench uses (2000-edge
-// C-dataflow graph), where the solve phase is in the tens of milliseconds:
+// measure its cost on the workload the root package's solver counter gate
+// pins (the 2000-edge C-dataflow graph "bench-prog"), where the solve phase
+// is in the tens of milliseconds:
 // pattern-only lint is microseconds, graph lint sub-millisecond (dominated
 // by the solver-shared refined-domain estimation).
 

@@ -119,14 +119,19 @@ func (c *canceler) reason() error {
 // and built the profile ex from the state the run reached: a stopped run
 // returns both in an *InterruptError, so the partial stats carry every
 // field a completed run's do; a completed run returns them with its pairs
-// sorted canonically.
+// sorted canonically. The sort is the run's last step and takes long on
+// answer-heavy runs, so a cancel or deadline that fires during it stops the
+// run as well, with the run's complete stats.
 func conclude(c *canceler, stopped bool, pairs []Pair, stats Stats, ex *Explain) (*Result, error) {
 	// A run that fails the universal determinism check returns
 	// ErrNondeterministic instead of reaching here.
 	stats.DeterminismOK = true
+	if !stopped {
+		sortPairs(pairs)
+		stopped = c.state() != cxlRunning
+	}
 	if stopped {
 		return nil, &InterruptError{Reason: c.reason(), Stats: stats, Explain: ex}
 	}
-	sortPairs(pairs)
 	return &Result{Pairs: pairs, Stats: stats, Explain: ex}, nil
 }

@@ -203,7 +203,7 @@ type Progress struct {
 // Stats instruments a run with the quantities reported in the paper's
 // Tables 1-3 and Figure 3, plus the phase timings and cache counters of the
 // observability layer. The struct marshals to JSON for machine-comparable
-// runs (cmd/rpq -stats json, cmd/experiments -benchjson).
+// runs (cmd/rpq -stats json).
 type Stats struct {
 	// WorklistInserts counts elements inserted into the worklist — the
 	// "worklist" columns of Tables 1 and 2.

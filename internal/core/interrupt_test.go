@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"rpq/internal/gen"
@@ -98,5 +99,30 @@ func TestInterruptStatsComplete(t *testing.T) {
 					s.Bytes, want, at.Bytes, s.ResultPairs)
 			}
 		})
+	}
+}
+
+// TestConcludeDeadlineDuringSort covers a deadline that fires after the
+// solver's last checkpoint, while conclude sorts the answer pairs: the run
+// must report the deadline, not succeed late, and carry its complete stats.
+// The flag is raised before the call, which conclude cannot tell apart from
+// one raised during the sort.
+func TestConcludeDeadlineDuringSort(t *testing.T) {
+	c := &canceler{}
+	c.flag.Store(cxlDeadline)
+	stats := Stats{WorklistInserts: 42, ReachSize: 40, Substs: 3, ResultPairs: 2, Bytes: 4096}
+	pairs := []Pair{{Vertex: 2}, {Vertex: 1}}
+	res, err := conclude(c, false, pairs, stats, &Explain{})
+	var ie *InterruptError
+	if !errors.As(err, &ie) || !errors.Is(err, ErrDeadline) {
+		t.Fatalf("conclude = (%v, %v), want an *InterruptError wrapping ErrDeadline", res, err)
+	}
+	want := stats
+	want.DeterminismOK = true
+	if ie.Stats != want {
+		t.Fatalf("Stats = %+v, want the run's %+v", ie.Stats, want)
+	}
+	if ie.Explain == nil {
+		t.Fatal("Explain dropped from the interrupt")
 	}
 }

@@ -32,9 +32,8 @@ type Config struct {
 	MaxConcurrent int
 	// MaxQueue bounds the requests allowed to wait for a solve slot; a
 	// request arriving with the queue full is rejected immediately with
-	// HTTP 429. <= 0 means 2×MaxConcurrent; use a negative queue via
-	// QueueWait <= 0 semantics is not supported — set MaxQueue small
-	// instead.
+	// HTTP 429. <= 0 means 2×MaxConcurrent, so queueing cannot be turned
+	// off: the shortest queue is MaxQueue 1.
 	MaxQueue int
 	// QueueWait bounds how long a queued request waits for a slot before
 	// being rejected with 429; <= 0 means 5s.

@@ -582,8 +582,9 @@ type ObservabilityConfig struct {
 
 // ProfilingConfig tunes the continuous profiler; see
 // ObservabilityConfig.Profiling. The zero value captures a 10s CPU window
-// every 60s — a duty cycle whose steady-state overhead stays under 2% (the
-// pinned BenchmarkExist/prof-on budget).
+// every 60s — a duty cycle meant to keep steady-state overhead near 2%.
+// BenchmarkExist/prof-on against prof-off measures it; CI only logs the
+// pair, nothing gates it.
 type ProfilingConfig struct {
 	// Window is the CPU-capture duration per cycle (0 = 10s).
 	Window time.Duration

@@ -63,8 +63,8 @@ type QueryCacheStats struct {
 //
 // The cache maintains process-wide gauges in the default metric registry —
 // rpq_qcache_hits_total, rpq_qcache_misses_total, rpq_qcache_evictions_total,
-// and rpq_qcache_entries — so /metrics and cmd/bench can pin the
-// no-recompile path.
+// and rpq_qcache_entries — so /metrics shows whether the no-recompile path
+// is taken.
 type QueryCache struct {
 	mu    sync.Mutex
 	cap   int

@@ -3,6 +3,7 @@ package rpq
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -89,11 +90,15 @@ func TestExplainAndGaugesCarryAttribution(t *testing.T) {
 	}
 }
 
+// TestSlowLogCarriesAttribution checks a slow-log record's attribution
+// fields and, with Explain on, its hot_states: the first entry must be the
+// profile's most-visited state (the first by index on a tie).
 func TestSlowLogCarriesAttribution(t *testing.T) {
 	g := telemetryGraph(t)
 	var buf bytes.Buffer
-	opts := &Options{SlowLog: NewSlowLog(&buf, 0)} // threshold 0: log everything
-	if _, err := g.Exist(MustParsePattern("_* use(x)"), opts); err != nil {
+	opts := &Options{SlowLog: NewSlowLog(&buf, 0), Explain: true} // threshold 0: log everything
+	res, err := g.Exist(MustParsePattern("_* use(x)"), opts)
+	if err != nil {
 		t.Fatal(err)
 	}
 	line := buf.String()
@@ -102,6 +107,29 @@ func TestSlowLogCarriesAttribution(t *testing.T) {
 	}
 	if !strings.Contains(line, `"cpu_ns"`) && !strings.Contains(line, `"cpu_ms"`) {
 		t.Fatalf("slow record missing cpu attribution: %s", line)
+	}
+
+	var rec struct {
+		HotStates []StateProfile `json:"hot_states"`
+	}
+	if err := json.Unmarshal([]byte(line), &rec); err != nil {
+		t.Fatalf("slow record: %v: %s", err, line)
+	}
+	if len(rec.HotStates) == 0 {
+		t.Fatalf("slow record missing hot_states: %s", line)
+	}
+	hot := res.Explain.States[0]
+	for _, s := range res.Explain.States[1:] {
+		if s.Visits > hot.Visits {
+			hot = s
+		}
+	}
+	if hot.Visits == 0 {
+		t.Fatal("explain profile has no visits")
+	}
+	if got := rec.HotStates[0]; got.State != hot.State || got.Visits != hot.Visits {
+		t.Fatalf("hot_states[0] = state %d (%d visits), want the most-visited state %d (%d visits)",
+			got.State, got.Visits, hot.State, hot.Visits)
 	}
 }
 

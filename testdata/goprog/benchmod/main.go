@@ -1,7 +1,8 @@
 // Package main is the root of the gofront benchmark module: a small but
 // realistic multi-package program (cross-package calls, locks, channels,
-// defers) that cmd/bench lowers through the frontend and queries, so the
-// pinned baselines track frontend + solver cost together.
+// defers) that the root package's TestSolverCounters lowers through the
+// frontend and queries, so its pinned counters cover frontend and solver
+// together.
 package main
 
 import (
