@@ -165,22 +165,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // runChecks evaluates the catalog and returns the report plus a source
 // lookup for caret rendering. It re-loads nothing: gocheck retains the
-// sources inside the programs it builds, surfaced via the closure.
+// sources inside the programs it builds, and both programs share them.
 func runChecks(patterns []string, opts gocheck.Options) (*gocheck.Report, func(string) (string, bool), error) {
 	rep, progs, err := gocheck.RunWithPrograms(patterns, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	srcOf := func(file string) (string, bool) {
-		for _, p := range progs {
-			if p == nil {
-				continue
-			}
-			if s, ok := p.Source(file); ok {
-				return s, true
-			}
-		}
-		return "", false
-	}
-	return rep, srcOf, nil
+	return rep, progs[0].Source, nil
 }

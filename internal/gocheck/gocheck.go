@@ -90,40 +90,39 @@ func Run(patterns []string, opts Options) (*Report, error) {
 	return rep, err
 }
 
-// RunWithPrograms is Run, also returning the program graphs it built
-// (intra- and interprocedural; either may be nil when no selected check
-// needed it) so callers can render source snippets or inspect the graphs.
+// RunWithPrograms is Run, also returning the two program graphs it
+// checked, intraprocedural then interprocedural, so callers can render
+// source snippets or inspect the graphs. Both come from one lowering: the
+// interprocedural program is the intraprocedural one plus its link edges
+// (gofront.Program.Linked), and the two share their source tables.
 func RunWithPrograms(patterns []string, opts Options) (*Report, []*gofront.Program, error) {
+	return run(opts, func(cfg gofront.Config) (*gofront.Program, error) {
+		return gofront.Load(patterns, cfg)
+	})
+}
+
+// RunSource is Run over in-memory sources (the service loader path).
+func RunSource(files map[string]string, opts Options) (*Report, error) {
+	rep, _, err := run(opts, func(cfg gofront.Config) (*gofront.Program, error) {
+		return gofront.LoadSource(files, cfg)
+	})
+	return rep, err
+}
+
+// run lowers the sources once with load, derives the interprocedural
+// program from the intraprocedural one, and evaluates the selected checks;
+// Stats.BuildNS covers both programs.
+func run(opts Options, load func(gofront.Config) (*gofront.Program, error)) (*Report, []*gofront.Program, error) {
 	checks, err := selectChecks(opts.Checks)
 	if err != nil {
 		return nil, nil, err
 	}
-	needIntra, needInter := false, false
-	for _, c := range checks {
-		if c.Interproc {
-			needInter = true
-		} else {
-			needIntra = true
-		}
-	}
 	t0 := time.Now()
-	var intra, inter *gofront.Program
-	if needIntra {
-		intra, err = gofront.Load(patterns, gofront.Config{
-			Workers: opts.Workers, IncludeTests: opts.IncludeTests,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
+	intra, err := load(gofront.Config{Workers: opts.Workers, IncludeTests: opts.IncludeTests})
+	if err != nil {
+		return nil, nil, err
 	}
-	if needInter {
-		inter, err = gofront.Load(patterns, gofront.Config{
-			Interproc: true, Workers: opts.Workers, IncludeTests: opts.IncludeTests,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-	}
+	inter := intra.Linked()
 	build := time.Since(t0)
 	rep, err := runChecks(checks, intra, inter, opts)
 	if err != nil {
@@ -131,23 +130,6 @@ func RunWithPrograms(patterns []string, opts Options) (*Report, []*gofront.Progr
 	}
 	rep.Stats.BuildNS = build.Nanoseconds()
 	return rep, []*gofront.Program{intra, inter}, nil
-}
-
-// RunSource is Run over in-memory sources (the service loader path).
-func RunSource(files map[string]string, opts Options) (*Report, error) {
-	checks, err := selectChecks(opts.Checks)
-	if err != nil {
-		return nil, err
-	}
-	intra, err := gofront.LoadSource(files, gofront.Config{Workers: opts.Workers})
-	if err != nil {
-		return nil, err
-	}
-	inter, err := gofront.LoadSource(files, gofront.Config{Interproc: true, Workers: opts.Workers})
-	if err != nil {
-		return nil, err
-	}
-	return runChecks(checks, intra, inter, opts)
 }
 
 func selectChecks(names []string) ([]queries.GoCheck, error) {
@@ -176,17 +158,16 @@ func selectChecks(names []string) ([]queries.GoCheck, error) {
 
 func runChecks(checks []queries.GoCheck, intra, inter *gofront.Program, opts Options) (*Report, error) {
 	rep := &Report{Schema: "rpqcheck/1"}
-	stats := func(p *gofront.Program) {
-		if p != nil && rep.Stats.Functions == 0 {
-			rep.Stats.Functions = len(p.Funcs)
-		}
-		if p != nil && p.Graph.NumVertices() > rep.Stats.Vertices {
-			rep.Stats.Vertices = p.Graph.NumVertices()
-			rep.Stats.Edges = p.Graph.NumEdges()
+	// The footer describes the largest graph a selected check ran on.
+	sized := intra
+	for _, c := range checks {
+		if c.Interproc {
+			sized = inter
 		}
 	}
-	stats(inter)
-	stats(intra)
+	rep.Stats.Functions = len(sized.Funcs)
+	rep.Stats.Vertices = sized.Graph.NumVertices()
+	rep.Stats.Edges = sized.Graph.NumEdges()
 
 	t0 := time.Now()
 	seen := map[string]bool{}
@@ -195,9 +176,6 @@ func runChecks(checks []queries.GoCheck, intra, inter *gofront.Program, opts Opt
 		prog := intra
 		if c.Interproc {
 			prog = inter
-		}
-		if prog == nil {
-			return nil, fmt.Errorf("gocheck: no program graph for %s", c.Name)
 		}
 		pat, err := rpq.ParsePattern(c.Pattern)
 		if err != nil {

@@ -2,8 +2,11 @@ package gocheck
 
 import (
 	"bytes"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -217,6 +220,63 @@ func helper() {
 	}
 }
 
+// TestRunSourceMatchesRun pins the in-memory path to the directory path:
+// RunSource over a fixture's files reports the same findings, advisories
+// and counts as Run over the fixture's directory. Fixtures without their
+// own go.mod get one naming the package path Load derives for them.
+func TestRunSourceMatchesRun(t *testing.T) {
+	for _, dir := range []string{"benchmod", "uninit", "closechan", "locks", "deferloop"} {
+		t.Run(dir, func(t *testing.T) {
+			root := filepath.Join(fixtures, dir)
+			opts := Options{ShowSuppressed: true}
+			want, err := Run([]string{root + "/..."}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files := map[string]string{"go.mod": "module rpq/testdata/goprog/" + dir + "\n"}
+			err = filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+				if err != nil || d.IsDir() {
+					return err
+				}
+				data, err := os.ReadFile(p)
+				if err != nil {
+					return err
+				}
+				rel, err := filepath.Rel(root, p)
+				files[filepath.ToSlash(rel)] = string(data)
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := RunSource(files, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Run names files by their path; RunSource by their map key.
+			prefix := filepath.ToSlash(root) + "/"
+			for i := range want.Findings {
+				want.Findings[i].File = strings.TrimPrefix(want.Findings[i].File, prefix)
+			}
+			if len(want.Findings) == 0 {
+				t.Fatal("fixture produced no findings; the comparison would be vacuous")
+			}
+			if !reflect.DeepEqual(got.Findings, want.Findings) {
+				t.Errorf("findings differ:\n got %+v\nwant %+v", got.Findings, want.Findings)
+			}
+			if !reflect.DeepEqual(got.Advisories, want.Advisories) {
+				t.Errorf("advisories differ:\n got %+v\nwant %+v", got.Advisories, want.Advisories)
+			}
+			g, w := got.Stats, want.Stats
+			if got.Suppressed != want.Suppressed || !slices.Equal(got.Checks, want.Checks) ||
+				g.Functions != w.Functions || g.Vertices != w.Vertices || g.Edges != w.Edges {
+				t.Errorf("counts differ: got %d suppressed %v %+v, want %d suppressed %v %+v",
+					got.Suppressed, got.Checks, g, want.Suppressed, want.Checks, w)
+			}
+		})
+	}
+}
+
 func TestTextAndJSONRendering(t *testing.T) {
 	rep, _ := runFixture(t, "deferloop", Options{})
 	var txt bytes.Buffer
@@ -237,5 +297,17 @@ func TestUnknownCheck(t *testing.T) {
 	_, err := Run([]string{filepath.Join(fixtures, "uninit")}, Options{Checks: []string{"nope"}})
 	if err == nil || !strings.Contains(err.Error(), "unknown check") {
 		t.Errorf("want unknown-check error, got %v", err)
+	}
+}
+
+// BenchmarkRun is one rpqcheck run over benchmod with every check: one
+// lowering, the derived linked program, and the five solves.
+func BenchmarkRun(b *testing.B) {
+	dirs := []string{filepath.Join(fixtures, "benchmod") + "/..."}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(dirs, Options{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package gofront
 
 import (
+	"encoding/binary"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -30,22 +31,37 @@ const (
 // function index because the callee may live in another unit.
 type link struct {
 	kind   linkKind
-	from   string // vertex the call/go edge leaves
-	resume string // vertex the ret edge returns to (linkCall only)
+	from   int32  // vertex the call/go edge leaves
+	resume int32  // vertex the ret edge returns to (linkCall only)
 	callee string // candidate qualified name
 }
 
+// uedge is one edge in unit-local ids: from and to index unitResult.verts,
+// lbl indexes unitResult.labels.
 type uedge struct {
-	from, to string
-	t        *label.Term
+	from, to, lbl int32
 }
 
+// uloc is the source location of one unit-local vertex.
+type uloc struct {
+	v   int32
+	loc Location
+}
+
+// unitResult is one unit's CFG with its vertices and labels interned into
+// unit-local tables, so the sequential merge interns each distinct vertex
+// name and compiles each distinct label once, by id, instead of once per
+// edge by string. Vertex and link ids are unit-local too.
 type unitResult struct {
-	funcs []FuncInfo // declared function first, then literals in source order
-	edges []uedge
-	pos   map[string]Location
-	links []link
-	err   error
+	funcs   []FuncInfo // declared function first, then literals in source order
+	entries []uedge    // per func: root -entry(f)-> its entry; from is unused (the root is global)
+	edges   []uedge
+	verts   []string      // local vertex id -> name
+	labels  []*label.Term // local label id -> ground term
+	keys    []string      // local label id -> termKey of labels[id]
+	locs    []uloc
+	links   []link
+	err     error
 }
 
 // deferOp is one registered defer: its effect label is re-emitted, in LIFO
@@ -81,23 +97,38 @@ type fnState struct {
 
 type ub struct {
 	fset *token.FileSet
-	cfg  Config
 	pkg  *pkgUnit
 	file *parsedFile
 	res  *unitResult
+
+	*interns
 
 	scopes       []map[string]string
 	fns          []*fnState
 	pendingLabel string
 }
 
-func buildUnit(fset *token.FileSet, job *unitJob, cfg Config) (res *unitResult) {
+// interns holds a unit's local lookup tables. A worker reuses one across
+// the units it builds, so the maps keep their grown capacity.
+type interns struct {
+	vertIx  map[string]int32 // vertex name -> local id
+	labelIx map[string]int32 // termKey -> local label id
+	keyBuf  []byte
+}
+
+func newInterns() *interns {
+	return &interns{vertIx: map[string]int32{}, labelIx: map[string]int32{}}
+}
+
+func buildUnit(fset *token.FileSet, job *unitJob, in *interns) (res *unitResult) {
+	clear(in.vertIx)
+	clear(in.labelIx)
 	b := &ub{
-		fset: fset,
-		cfg:  cfg,
-		pkg:  job.pkg,
-		file: job.file,
-		res:  &unitResult{pos: map[string]Location{}},
+		fset:    fset,
+		pkg:     job.pkg,
+		file:    job.file,
+		res:     &unitResult{},
+		interns: in,
 	}
 	res = b.res
 	defer func() {
@@ -118,8 +149,8 @@ func buildUnit(fset *token.FileSet, job *unitJob, cfg Config) (res *unitResult) 
 // body is built), so it is parallel-safe and deterministic.
 func (b *ub) propagateDefs() {
 	defBase := map[string]bool{}
-	for _, e := range b.res.edges {
-		if s, ok := defSym(e.t); ok {
+	for _, t := range b.res.labels {
+		if s, ok := defSym(t); ok {
 			defBase[s] = true
 		}
 	}
@@ -129,10 +160,11 @@ func (b *ub) propagateDefs() {
 	ext := map[string][]string{}
 	seen := map[string]bool{}
 	for _, e := range b.res.edges {
-		if e.t.Kind != label.KApp {
+		t := b.res.labels[e.lbl]
+		if t.Kind != label.KApp {
 			continue
 		}
-		for _, a := range e.t.Args {
+		for _, a := range t.Args {
 			if a.Kind != label.KSym || seen[a.Name] {
 				continue
 			}
@@ -154,12 +186,12 @@ func (b *ub) propagateDefs() {
 	n := len(b.res.edges)
 	for i := 0; i < n; i++ {
 		e := b.res.edges[i]
-		s, ok := defSym(e.t)
+		s, ok := defSym(b.res.labels[e.lbl])
 		if !ok {
 			continue
 		}
 		for _, x := range ext[s] {
-			b.edge(e.from, cfgschema.Def(x), e.to)
+			b.res.edges = append(b.res.edges, uedge{from: e.from, to: e.to, lbl: b.labelID(cfgschema.Def(x))})
 		}
 	}
 }
@@ -195,6 +227,7 @@ func (b *ub) buildFunc(qname string, recv *ast.FieldList, ftype *ast.FuncType, b
 		Exit:    fn.exitV,
 		Loc:     b.loc(at),
 	})
+	b.res.entries = append(b.res.entries, uedge{to: b.vertex(entry), lbl: b.labelID(cfgschema.EntryOf(qname))})
 
 	// Receiver, parameters, and named results are defined at entry: they
 	// are initialized before the body runs, so they can never trip the
@@ -250,7 +283,47 @@ func (b *ub) fresh() string {
 }
 
 func (b *ub) edge(from string, t *label.Term, to string) {
-	b.res.edges = append(b.res.edges, uedge{from: from, to: to, t: t})
+	b.res.edges = append(b.res.edges, uedge{from: b.vertex(from), to: b.vertex(to), lbl: b.labelID(t)})
+}
+
+// vertex interns a vertex name into the unit-local table.
+func (b *ub) vertex(name string) int32 {
+	if id, ok := b.vertIx[name]; ok {
+		return id
+	}
+	id := int32(len(b.res.verts))
+	b.vertIx[name] = id
+	b.res.verts = append(b.res.verts, name)
+	return id
+}
+
+// labelID interns a ground label into the unit-local table by its
+// termKey.
+func (b *ub) labelID(t *label.Term) int32 {
+	b.keyBuf = appendTermKey(b.keyBuf[:0], t)
+	if id, ok := b.labelIx[string(b.keyBuf)]; ok {
+		return id
+	}
+	id := int32(len(b.res.labels))
+	key := string(b.keyBuf)
+	b.labelIx[key] = id
+	b.res.labels = append(b.res.labels, t)
+	b.res.keys = append(b.res.keys, key)
+	return id
+}
+
+// appendTermKey appends an unambiguous encoding of the term t to buf:
+// every name is length-prefixed and every application carries its arity,
+// so distinct terms never share a key.
+func appendTermKey(buf []byte, t *label.Term) []byte {
+	buf = append(buf, byte(t.Kind))
+	buf = binary.AppendUvarint(buf, uint64(len(t.Name)))
+	buf = append(buf, t.Name...)
+	buf = binary.AppendUvarint(buf, uint64(len(t.Args)))
+	for _, a := range t.Args {
+		buf = appendTermKey(buf, a)
+	}
+	return buf
 }
 
 // step adds cur -t-> fresh and records the fresh vertex's source location.
@@ -258,7 +331,7 @@ func (b *ub) step(cur string, t *label.Term, at ast.Node) string {
 	v := b.fresh()
 	b.edge(cur, t, v)
 	if at != nil {
-		b.res.pos[v] = b.loc(at)
+		b.res.locs = append(b.res.locs, uloc{v: b.res.edges[len(b.res.edges)-1].to, loc: b.loc(at)})
 	}
 	return v
 }
@@ -274,7 +347,11 @@ func (b *ub) loc(n ast.Node) Location {
 	}
 }
 
-func nop() *label.Term { return cfgschema.Nop() }
+// nopLabel is shared by every nop edge: terms are never mutated once
+// built, and the label is the most frequent one in every unit.
+var nopLabel = cfgschema.Nop()
+
+func nop() *label.Term { return nopLabel }
 
 func (b *ub) pushScope() { b.scopes = append(b.scopes, map[string]string{}) }
 func (b *ub) popScope()  { b.scopes = b.scopes[:len(b.scopes)-1] }
@@ -889,8 +966,8 @@ func (b *ub) emitDefers(cur string, n int) string {
 		op := fn.deferred[i]
 		prev := cur
 		cur = b.step(cur, op.eff, op.node)
-		if b.cfg.Interproc && op.callee != "" {
-			b.res.links = append(b.res.links, link{kind: linkCall, from: prev, resume: cur, callee: op.callee})
+		if op.callee != "" {
+			b.res.links = append(b.res.links, link{kind: linkCall, from: b.vertex(prev), resume: b.vertex(cur), callee: op.callee})
 		}
 	}
 	return cur
@@ -926,8 +1003,8 @@ func (b *ub) goStmt(cur string, x *ast.GoStmt) string {
 		desc = effectDesc(eff)
 	}
 	cur = b.step(cur, cfgschema.Go(desc), x)
-	if b.cfg.Interproc && callee != "" {
-		b.res.links = append(b.res.links, link{kind: linkGo, from: prev, callee: callee})
+	if callee != "" {
+		b.res.links = append(b.res.links, link{kind: linkGo, from: b.vertex(prev), callee: callee})
 	}
 	return cur
 }
@@ -997,8 +1074,8 @@ func (b *ub) expr(cur string, e ast.Expr) string {
 		}
 		prev := cur
 		cur = b.step(cur, eff, x)
-		if b.cfg.Interproc && callee != "" && eff.Name == "call" {
-			b.res.links = append(b.res.links, link{kind: linkCall, from: prev, resume: cur, callee: callee})
+		if callee != "" && eff.Name == "call" {
+			b.res.links = append(b.res.links, link{kind: linkCall, from: b.vertex(prev), resume: b.vertex(cur), callee: callee})
 		}
 		return cur
 	case *ast.CompositeLit:

@@ -42,7 +42,16 @@
 // fans them out across Config.Workers goroutines and then merges the
 // results into one graph sequentially, in sorted function order, keeping
 // the merged graph (vertex numbering, label interning) byte-identical
-// across worker counts.
+// across worker counts. Each unit interns its vertex names and labels into
+// local tables, so the merge interns every distinct vertex name and
+// compiles every distinct label once, remapping unit-local ids.
+//
+// There is one lowering. The merge builds the intraprocedural graph and
+// keeps the call/ret/go links of every unit aside; the interprocedural
+// graph is that graph with the links appended after every other edge.
+// Load with Config.Interproc appends them in place; Program.Linked derives
+// the linked program from an intraprocedural one by cloning its graph, so
+// a caller that needs both lowers the packages once.
 package gofront
 
 import (
@@ -50,10 +59,12 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"maps"
 	"os"
 	"path"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -120,17 +131,35 @@ type Program struct {
 	// Config echoes the configuration the program was built with.
 	Config Config
 
-	pos    map[string]Location
+	locs   []locSlot // by vertex id
 	files  map[string]string
 	allows map[string]map[int][]string
 	funcIx map[string]int
+	links  []pendingLink
+}
+
+// locSlot is one vertex's source location, if it has one.
+type locSlot struct {
+	loc Location
+	set bool
+}
+
+// pendingLink is a unit's interprocedural link in graph vertex ids; its
+// callee resolves against the function index of the whole program.
+type pendingLink struct {
+	kind         linkKind
+	from, resume int32
+	callee       string
 }
 
 // Location reports the source location recorded for a vertex, if the
 // vertex corresponds to a source operation.
 func (p *Program) Location(vertex string) (Location, bool) {
-	l, ok := p.pos[vertex]
-	return l, ok
+	v, ok := p.Graph.LookupVertex(vertex)
+	if !ok || int(v) >= len(p.locs) {
+		return Location{}, false
+	}
+	return p.locs[v].loc, p.locs[v].set
 }
 
 // Source returns the loaded source text of file.
@@ -234,7 +263,8 @@ func Load(patterns []string, cfg Config) (*Program, error) {
 
 // LoadSource lowers in-memory sources (file name → content). Names may
 // carry directory components; each directory is one package. A go.mod at
-// the root supplies the module path for package qualification.
+// the root supplies the module path for package qualification. Like Load,
+// it skips _test.go files unless cfg.IncludeTests is set.
 func LoadSource(files map[string]string, cfg Config) (*Program, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("gofront: no source files")
@@ -245,7 +275,12 @@ func LoadSource(files map[string]string, cfg Config) (*Program, error) {
 			mod = moduleLine(src)
 		}
 	}
-	return build(files, cfg, func(dir string) (string, string) { return mod, "" })
+	srcs := files
+	if !cfg.IncludeTests {
+		srcs = maps.Clone(files)
+		maps.DeleteFunc(srcs, func(name, _ string) bool { return strings.HasSuffix(name, "_test.go") })
+	}
+	return build(srcs, cfg, func(dir string) (string, string) { return mod, "" })
 }
 
 // SplitSource splits a txtar-style body ("-- name --" separators) into a
@@ -539,8 +574,9 @@ func build(srcs map[string]string, cfg Config, modOf func(dir string) (string, s
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			in := newInterns()
 			for i := range next {
-				results[i] = buildUnit(fset, jobs[i], cfg)
+				results[i] = buildUnit(fset, jobs[i], in)
 			}
 		}()
 	}
@@ -555,7 +591,14 @@ func build(srcs map[string]string, cfg Config, modOf func(dir string) (string, s
 		}
 	}
 
-	return mergeUnits(results, srcs, allows, cfg)
+	p, err := mergeUnits(results, srcs, allows, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Interproc {
+		p.addLinks()
+	}
+	return p, nil
 }
 
 func qnameTaken(jobs []*unitJob, q string) bool {
@@ -677,69 +720,170 @@ func collectAllows(fset *token.FileSet, f *ast.File, file string, allows map[str
 
 // ---- merge ----
 
-// mergeUnits assembles the per-function results into one graph. This is
-// the only sequential stage: vertex ids and interned label ids depend on
-// insertion order, so the merged graph is deterministic exactly because
-// units arrive in sorted-job order regardless of which worker built them.
+// mergeUnits assembles the per-function results into one intraprocedural
+// graph and keeps the units' links aside for addLinks. This is the only
+// sequential stage: vertex ids and interned label ids depend on insertion
+// order, so the merged graph is deterministic exactly because units arrive
+// in sorted-job order regardless of which worker built them. Within a
+// unit the order is its entry edges, then each edge's from-vertex,
+// to-vertex and label; a unit-local vertex is interned and a label term
+// compiled only the first time the walk meets it.
 func mergeUnits(results []*unitResult, srcs map[string]string, allows map[string]map[int][]string, cfg Config) (*Program, error) {
 	g := graph.New()
 	const root = "root"
 	rv := g.Vertex(root)
 	g.SetStart(rv)
 
+	cfg.Interproc = false
 	p := &Program{
 		Graph:  g,
 		Root:   root,
 		Config: cfg,
-		pos:    map[string]Location{},
 		files:  srcs,
 		allows: allows,
 		funcIx: map[string]int{},
 	}
+	// Units rarely share a vertex, so the unit tables bound the sizes.
+	nv, nl := 0, 0
 	for _, r := range results {
-		for _, fi := range r.funcs {
+		nv += len(r.verts)
+		nl += len(r.labels)
+	}
+	g.Grow(nv, nl)
+	p.locs = make([]locSlot, g.NumVertices(), g.NumVertices()+nv)
+	m := &merger{g: g, labelIDs: make(map[string]int32, nl)}
+	for _, r := range results {
+		m.reset(r)
+		for i, fi := range r.funcs {
 			if _, dup := p.funcIx[fi.Name]; dup {
 				return nil, fmt.Errorf("gofront: duplicate function %s", fi.Name)
 			}
 			p.funcIx[fi.Name] = len(p.Funcs)
 			p.Funcs = append(p.Funcs, fi)
-			if err := g.AddEdge(rv, cfgschema.EntryOf(fi.Name), g.Vertex(fi.Entry)); err != nil {
-				return nil, fmt.Errorf("gofront: %w", err)
+			if err := m.edge(rv, r.entries[i]); err != nil {
+				return nil, err
 			}
-			p.pos[fi.Entry] = fi.Loc
 		}
 		for _, e := range r.edges {
-			if err := g.AddEdge(g.Vertex(e.from), e.t, g.Vertex(e.to)); err != nil {
-				return nil, fmt.Errorf("gofront: %w", err)
+			if err := m.edge(m.vertex(e.from), e); err != nil {
+				return nil, err
 			}
 		}
-		for v, l := range r.pos {
-			p.pos[v] = l
+		// nv bounds the vertex count, and the tail past len is still zero.
+		p.locs = p.locs[:g.NumVertices()]
+		for i, fi := range r.funcs {
+			p.locs[m.vmap[r.entries[i].to]] = locSlot{fi.Loc, true}
 		}
-	}
-	if cfg.Interproc {
-		for _, r := range results {
-			for _, lk := range r.links {
-				i, ok := p.funcIx[lk.callee]
-				if !ok {
-					continue
-				}
-				fi := p.Funcs[i]
-				var err error
-				switch lk.kind {
-				case linkCall:
-					err = g.AddEdge(g.Vertex(lk.from), cfgschema.Call(lk.callee), g.Vertex(fi.Entry))
-					if err == nil {
-						err = g.AddEdge(g.Vertex(fi.Exit), cfgschema.Ret(lk.callee), g.Vertex(lk.resume))
-					}
-				case linkGo:
-					err = g.AddEdge(g.Vertex(lk.from), cfgschema.Go(lk.callee), g.Vertex(fi.Entry))
-				}
-				if err != nil {
-					return nil, fmt.Errorf("gofront: %w", err)
-				}
+		for _, l := range r.locs {
+			p.locs[m.vmap[l.v]] = locSlot{l.loc, true}
+		}
+		for _, lk := range r.links {
+			pl := pendingLink{kind: lk.kind, from: m.vmap[lk.from], callee: lk.callee}
+			if lk.kind == linkCall {
+				pl.resume = m.vmap[lk.resume]
 			}
+			p.links = append(p.links, pl)
 		}
 	}
 	return p, nil
+}
+
+// merger remaps one unit's local vertex and label ids to graph ids,
+// interning or compiling each on first use.
+type merger struct {
+	g        *graph.Graph
+	labelIDs map[string]int32 // termKey -> graph label id, across units
+	r        *unitResult
+	vmap     []int32 // local vertex id -> graph id, -1 until first use
+	lmap     []int32 // local label id -> graph label id, -1 until first use
+}
+
+func (m *merger) reset(r *unitResult) {
+	m.r = r
+	m.vmap = unmapped(m.vmap, len(r.verts))
+	m.lmap = unmapped(m.lmap, len(r.labels))
+}
+
+// unmapped returns ids resized to n entries, all -1.
+func unmapped(ids []int32, n int) []int32 {
+	ids = slices.Grow(ids[:0], n)[:n]
+	for i := range ids {
+		ids[i] = -1
+	}
+	return ids
+}
+
+func (m *merger) vertex(v int32) int32 {
+	if m.vmap[v] < 0 {
+		m.vmap[v] = m.g.Vertex(m.r.verts[v])
+	}
+	return m.vmap[v]
+}
+
+// edge adds from -e.lbl-> e.to, mapping the target and then the label.
+func (m *merger) edge(from int32, e uedge) error {
+	to := m.vertex(e.to)
+	id := m.lmap[e.lbl]
+	if id < 0 {
+		key := m.r.keys[e.lbl]
+		var ok bool
+		if id, ok = m.labelIDs[key]; !ok {
+			c, err := label.CompileGround(m.r.labels[e.lbl], m.g.U)
+			if err != nil {
+				return fmt.Errorf("gofront: %w", err)
+			}
+			id = m.g.InternLabel(c)
+			m.labelIDs[key] = id
+		}
+		m.lmap[e.lbl] = id
+	}
+	m.g.AddEdgeID(from, id, to)
+	return nil
+}
+
+// Linked returns the interprocedural program of p: p's graph plus the
+// call/ret/go link edges, exactly the program Load builds with
+// Config.Interproc. It clones p's graph (see graph.Graph.Clone) and shares
+// every side table with p, so p keeps its graph and universe unchanged.
+// On a program already built with Config.Interproc it returns p.
+func (p *Program) Linked() *Program {
+	if p.Config.Interproc {
+		return p
+	}
+	q := *p
+	q.Graph = p.Graph.Clone()
+	q.addLinks()
+	return &q
+}
+
+// addLinks appends the link edges to p's graph, after every other edge and
+// in unit order, and marks p interprocedural. A link whose callee is not a
+// lowered function adds nothing.
+func (p *Program) addLinks() {
+	g := p.Graph
+	edge := func(from int32, t *label.Term, to int32) {
+		// A constructor applied to one symbol is always ground.
+		c, err := label.CompileGround(t, g.U)
+		if err != nil {
+			panic(err)
+		}
+		g.AddEdgeC(from, c, to)
+	}
+	for _, lk := range p.links {
+		i, ok := p.funcIx[lk.callee]
+		if !ok {
+			continue
+		}
+		fi := p.Funcs[i]
+		entry, _ := g.LookupVertex(fi.Entry)
+		switch lk.kind {
+		case linkCall:
+			edge(lk.from, cfgschema.Call(lk.callee), entry)
+			exit, _ := g.LookupVertex(fi.Exit)
+			edge(exit, cfgschema.Ret(lk.callee), lk.resume)
+		case linkGo:
+			edge(lk.from, cfgschema.Go(lk.callee), entry)
+		}
+	}
+	p.Config.Interproc = true
 }

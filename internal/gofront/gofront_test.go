@@ -1,8 +1,10 @@
 package gofront
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -19,12 +21,11 @@ func load(t *testing.T, dir string, cfg Config) *Program {
 	return p
 }
 
-// TestShapesGolden pins the exact lowering of every statement form against
-// a committed dump. Regenerate with UPDATE_GOLDEN=1.
-func TestShapesGolden(t *testing.T) {
-	p := load(t, "shapes", Config{})
-	got := p.DebugDump()
-	golden := filepath.Join("testdata", "shapes.golden")
+// checkGolden compares got against testdata/name, rewriting the file first
+// when UPDATE_GOLDEN is set.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if os.Getenv("UPDATE_GOLDEN") != "" {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -38,28 +39,115 @@ func TestShapesGolden(t *testing.T) {
 		t.Fatalf("%v (run with UPDATE_GOLDEN=1 to create)", err)
 	}
 	if got != string(want) {
-		t.Errorf("shapes dump mismatch (regen with UPDATE_GOLDEN=1)\n--- got ---\n%s\n--- want ---\n%s", got, want)
+		t.Errorf("%s mismatch (regen with UPDATE_GOLDEN=1)\n--- got ---\n%s\n--- want ---\n%s", name, got, want)
 	}
 }
 
+// TestShapesGolden pins the exact lowering of every statement form against
+// a committed dump. Regenerate with UPDATE_GOLDEN=1.
+func TestShapesGolden(t *testing.T) {
+	checkGolden(t, "shapes.golden", load(t, "shapes", Config{}).DebugDump())
+}
+
+// TestInterprocGolden pins the whole interprocedural graph of benchmod —
+// every CFG edge plus the call/ret/go links, in vertex-id order — and,
+// after it, the interning order of vertices, labels, constructors and
+// symbols, so no id of the linked program can drift. Regenerate with
+// UPDATE_GOLDEN=1.
+func TestInterprocGolden(t *testing.T) {
+	p := load(t, "benchmod/...", Config{Interproc: true})
+	checkGolden(t, "benchmod_interproc.golden", p.DebugDump()+internOrder(p))
+}
+
+// internOrder lists a program's interners in id order.
+func internOrder(p *Program) string {
+	g := p.Graph
+	var b strings.Builder
+	b.WriteString("# vertices\n")
+	for v := int32(0); v < int32(g.NumVertices()); v++ {
+		b.WriteString(g.VertexName(v) + "\n")
+	}
+	b.WriteString("# labels\n")
+	for _, c := range g.Labels() {
+		b.WriteString(fmtLabel(c, g) + "\n")
+	}
+	b.WriteString("# ctors\n" + strings.Join(g.U.Ctors.Names(), "\n") + "\n")
+	b.WriteString("# syms\n" + strings.Join(g.U.Syms.Names(), "\n") + "\n")
+	return b.String()
+}
+
 // TestDeterministicAcrossWorkers asserts byte-identical graphs for every
-// worker count: the merge order is the contract, not the scheduling.
+// worker count, for the intraprocedural program and the linked program
+// derived from it: the merge order is the contract, not the scheduling.
 func TestDeterministicAcrossWorkers(t *testing.T) {
 	dirs := []string{filepath.Join(fixtures, "benchmod") + "/..."}
-	base, err := Load(dirs, Config{Interproc: true, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := base.DebugDump()
-	for _, w := range []int{2, 3, 8} {
-		p, err := Load(dirs, Config{Interproc: true, Workers: w})
+	dumps := func(w int) [2]string {
+		p, err := Load(dirs, Config{Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := p.DebugDump(); got != want {
-			t.Errorf("workers=%d produced a different graph (len %d vs %d)", w, len(got), len(want))
+		lk := p.Linked()
+		return [2]string{p.DebugDump() + internOrder(p), lk.DebugDump() + internOrder(lk)}
+	}
+	want := dumps(1)
+	for _, w := range []int{2, 3, 8} {
+		got := dumps(w)
+		for i, name := range []string{"intraprocedural", "linked"} {
+			if got[i] != want[i] {
+				t.Errorf("workers=%d produced a different %s graph (len %d vs %d)", w, name, len(got[i]), len(want[i]))
+			}
 		}
 	}
+}
+
+// TestLinkedFromOneLowering pins the one-lowering contract: Linked derives
+// exactly the program Load builds with Interproc, and leaves the
+// intraprocedural program it came from — graph and universe — exactly
+// what a standalone intraprocedural load builds. The universe matters
+// beyond the dump: its symbol count sizes the substitution tables and
+// Estimate, so link-only names such as ret must not leak into it.
+func TestLinkedFromOneLowering(t *testing.T) {
+	dirs := []string{filepath.Join(fixtures, "benchmod") + "/..."}
+	load := func(cfg Config) *Program {
+		t.Helper()
+		p, err := Load(dirs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	base := load(Config{})
+	lk := base.Linked()
+	intra, inter := load(Config{}), load(Config{Interproc: true})
+
+	// internOrder covers U.Ctors.Names() and U.Syms.Names().
+	if got, want := base.DebugDump()+internOrder(base), intra.DebugDump()+internOrder(intra); got != want {
+		t.Errorf("base program differs from a standalone intraprocedural load:\n%s", firstDiff(got, want))
+	}
+	if slices.Contains(base.Graph.U.Ctors.Names(), "ret") {
+		t.Errorf("base universe gained the link-only ret constructor")
+	}
+	if got, want := lk.DebugDump()+internOrder(lk), inter.DebugDump()+internOrder(inter); got != want {
+		t.Errorf("Linked differs from Load with Interproc:\n%s", firstDiff(got, want))
+	}
+	if base.Config.Interproc || !lk.Config.Interproc || inter.Linked() != inter {
+		t.Errorf("Config.Interproc: base %v, linked %v; Linked of a linked program must return it",
+			base.Config.Interproc, lk.Config.Interproc)
+	}
+	if _, ok := lk.Location("benchmod.main.n1"); !ok {
+		t.Errorf("linked program lost the source locations")
+	}
+}
+
+// firstDiff renders the first differing line of two dumps.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(g) && i < len(w); i++ {
+		if g[i] != w[i] {
+			return fmt.Sprintf("line %d: got %q, want %q", i+1, g[i], w[i])
+		}
+	}
+	return fmt.Sprintf("got %d lines, want %d", len(g), len(w))
 }
 
 // TestParallelLoadRace drives concurrent Loads to let -race inspect the
@@ -207,6 +295,42 @@ func helper() {}
 	}
 	if _, ok := p2.Func("solo.F"); !ok {
 		t.Errorf("solo.F missing; funcs: %v", names(p2))
+	}
+}
+
+// TestLoadSourceSkipsTests pins LoadSource to Load's file selection: a
+// _test.go entry is lowered only under IncludeTests.
+func TestLoadSourceSkipsTests(t *testing.T) {
+	files := SplitSource(`-- go.mod --
+module m
+
+-- a.go --
+package m
+
+func A() {}
+
+-- a_test.go --
+package m
+
+func TestB() {}
+`)
+	for _, include := range []bool{false, true} {
+		p, err := LoadSource(files, Config{IncludeTests: include})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := p.Func("m.A"); !ok {
+			t.Errorf("IncludeTests=%v: m.A missing; funcs: %v", include, names(p))
+		}
+		if _, ok := p.Func("m.TestB"); ok != include {
+			t.Errorf("IncludeTests=%v: m.TestB lowered = %v; funcs: %v", include, ok, names(p))
+		}
+		if _, ok := p.Source("a_test.go"); ok != include {
+			t.Errorf("IncludeTests=%v: a_test.go retained = %v", include, ok)
+		}
+	}
+	if len(files) != 3 {
+		t.Errorf("LoadSource modified its input: %d files left", len(files))
 	}
 }
 
@@ -363,5 +487,19 @@ func TestDiscoverSkipsNestedModules(t *testing.T) {
 	}
 	if len(files) != 1 || filepath.Base(files[0]) != "a.go" {
 		t.Fatalf("discover = %v, want only a/a.go", files)
+	}
+}
+
+// BenchmarkLoad lowers benchmod once and derives its linked program: the
+// front-end work gocheck.Run does before any check runs.
+func BenchmarkLoad(b *testing.B) {
+	dirs := []string{filepath.Join(fixtures, "benchmod") + "/..."}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p, err := Load(dirs, Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		p.Linked()
 	}
 }

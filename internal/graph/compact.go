@@ -31,17 +31,14 @@ func (g *Graph) CompactFor(translabels []*label.CTerm) *Graph {
 	for id, el := range g.labels {
 		keep[id] = relevant(el)
 	}
-	out := NewIn(g.U)
-	for v := 0; v < g.NumVertices(); v++ {
-		out.Vertex(g.VertexName(int32(v)))
-	}
+	out := g.emptyCopy()
+	ids := g.labelMap()
 	for v := 0; v < g.NumVertices(); v++ {
 		for _, e := range g.adj[v] {
 			if keep[e.LabelID] {
-				out.AddEdgeC(int32(v), e.Label, e.To)
+				out.AddEdgeID(int32(v), ids.of(out, e), e.To)
 			}
 		}
 	}
-	out.start = g.start
 	return out
 }

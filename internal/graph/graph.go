@@ -7,9 +7,11 @@
 //
 // # Concurrency
 //
-// A Graph is read-mostly: construction (Vertex, AddEdge*, InternLabel,
-// SetStart, the readers in io.go and the front ends) must happen before any
-// query runs and is not safe for concurrent use. Once built, every accessor
+// A Graph is read-mostly: construction (Grow, Vertex, AddEdge*,
+// InternLabel, SetStart, Clone, the readers in io.go and the front ends)
+// must happen before any query runs and is not safe for concurrent use.
+// A clone reads its source's interners, so the source must not be
+// mutated while the clone is in use. Once built, every accessor
 // — Out, Labels, Label, NumVertices, NumEdges, Start, VertexName, SCC — is a
 // pure read of immutable state and is safe to call from any number of
 // goroutines simultaneously; concurrent queries and the enumeration
@@ -20,6 +22,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 
 	"rpq/internal/label"
 )
@@ -42,7 +45,7 @@ type Graph struct {
 	verts    label.Interner
 	adj      [][]Edge
 	labels   []*label.CTerm
-	labelIDs map[string]int32
+	labelIDs label.Interner // label key -> id, in the order of labels
 	numEdges int
 	start    int32
 }
@@ -52,7 +55,16 @@ func New() *Graph { return NewIn(label.NewUniverse()) }
 
 // NewIn returns an empty graph over an existing universe.
 func NewIn(u *label.Universe) *Graph {
-	return &Graph{U: u, labelIDs: map[string]int32{}, start: -1}
+	return &Graph{U: u, start: -1}
+}
+
+// Grow reserves room for the given numbers of new vertices and distinct
+// labels, for builders that know their sizes up front.
+func (g *Graph) Grow(vertices, labels int) {
+	g.verts.Grow(vertices)
+	g.adj = slices.Grow(g.adj, vertices)
+	g.labels = slices.Grow(g.labels, labels)
+	g.labelIDs.Grow(labels)
 }
 
 // Vertex interns a vertex name and returns its id.
@@ -94,12 +106,10 @@ func (g *Graph) Start() int32 { return g.start }
 
 // InternLabel interns a compiled ground label, returning its dense id.
 func (g *Graph) InternLabel(c *label.CTerm) int32 {
-	if id, ok := g.labelIDs[c.Key()]; ok {
-		return id
+	id := g.labelIDs.Intern(c.Key())
+	if int(id) == len(g.labels) {
+		g.labels = append(g.labels, c)
 	}
-	id := int32(len(g.labels))
-	g.labelIDs[c.Key()] = id
-	g.labels = append(g.labels, c)
 	return id
 }
 
@@ -110,6 +120,12 @@ func (g *Graph) AddEdgeC(from int32, c *label.CTerm, to int32) {
 	}
 	id := g.InternLabel(c)
 	g.adj[from] = append(g.adj[from], Edge{Label: c, LabelID: id, To: to})
+	g.numEdges++
+}
+
+// AddEdgeID adds an edge whose label was interned with InternLabel.
+func (g *Graph) AddEdgeID(from, id, to int32) {
+	g.adj[from] = append(g.adj[from], Edge{Label: g.labels[id], LabelID: id, To: to})
 	g.numEdges++
 }
 
@@ -173,22 +189,68 @@ func (g *Graph) AddVertexLabelStr(vertex, lbl string) error {
 	return g.AddVertexLabel(g.Vertex(vertex), t)
 }
 
-// Reverse returns the graph with every edge reversed, sharing the universe,
-// vertex numbering, and label interning. The paper evaluates backward
-// queries by reversing all edges before the query (Section 2.2).
-func (g *Graph) Reverse() *Graph {
-	r := NewIn(g.U)
-	// Copy vertex interning so ids coincide.
-	for v := 0; v < g.NumVertices(); v++ {
-		r.Vertex(g.VertexName(int32(v)))
+// Clone returns a copy of g that grows independently of it: same vertex
+// and label ids, same universe keys, its own interners. Cloning copies no
+// table and re-interns no name or label (see label.Interner.Clone), and it
+// shares each adjacency array with its capacity clipped, so an edge the
+// clone adds reallocates only that vertex's list and an edge g adds lands
+// past the clone's view. The cost is one slice header per vertex. The
+// clone reads g's interners, so g must not be mutated while the clone is
+// in use.
+func (g *Graph) Clone() *Graph {
+	c := &Graph{
+		U:        g.U.Clone(),
+		verts:    g.verts.Clone(),
+		adj:      make([][]Edge, len(g.adj)),
+		labels:   slices.Clip(g.labels),
+		labelIDs: g.labelIDs.Clone(),
+		numEdges: g.numEdges,
+		start:    g.start,
 	}
+	for v, es := range g.adj {
+		c.adj[v] = slices.Clip(es)
+	}
+	return c
+}
+
+// Reverse returns the graph with every edge reversed, sharing the universe
+// and the vertex numbering; like a clone, it reads g's vertex table. The
+// paper evaluates backward queries by reversing all edges before the query
+// (Section 2.2).
+func (g *Graph) Reverse() *Graph {
+	r := g.emptyCopy()
+	ids := g.labelMap()
 	for v := 0; v < g.NumVertices(); v++ {
 		for _, e := range g.adj[v] {
-			r.AddEdgeC(e.To, e.Label, int32(v))
+			r.AddEdgeID(e.To, ids.of(r, e), int32(v))
 		}
 	}
-	r.start = g.start
 	return r
+}
+
+// emptyCopy returns a graph over g's universe with g's vertices (same ids,
+// a clone of g's vertex interner) and start vertex, and no edges.
+func (g *Graph) emptyCopy() *Graph {
+	return &Graph{U: g.U, verts: g.verts.Clone(), adj: make([][]Edge, len(g.adj)), start: g.start}
+}
+
+// labelMap maps g's label ids to the ids of a derived graph, interning each
+// label there once, at its first edge.
+type labelMap []int32
+
+func (g *Graph) labelMap() labelMap {
+	ids := make(labelMap, len(g.labels))
+	for i := range ids {
+		ids[i] = -1
+	}
+	return ids
+}
+
+func (ids labelMap) of(into *Graph, e Edge) int32 {
+	if ids[e.LabelID] < 0 {
+		ids[e.LabelID] = into.InternLabel(e.Label)
+	}
+	return ids[e.LabelID]
 }
 
 // Reachable returns the set of vertices reachable from v0 (including v0).

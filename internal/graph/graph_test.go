@@ -120,6 +120,45 @@ func TestReverse(t *testing.T) {
 	}
 }
 
+// TestClone: a clone starts as the same graph and then grows apart from
+// its source in both directions — edges, vertices, labels and universe.
+func TestClone(t *testing.T) {
+	g := MustReadString(figure1)
+	before := g.String()
+	c := g.Clone()
+	if c.String() != before {
+		t.Fatalf("clone differs from its source:\n%s\nvs\n%s", c.String(), before)
+	}
+	c.MustAddEdgeStr("v1", "ret(a)", "v7")
+	c.MustAddEdgeStr("v1", "ret(a)", "extra")
+	if g.String() != before || g.NumEdges() == c.NumEdges() || g.NumLabels() == c.NumLabels() {
+		t.Errorf("growing the clone changed its source")
+	}
+	if _, ok := g.LookupVertex("extra"); ok {
+		t.Errorf("a clone's vertex leaked into its source")
+	}
+	if _, ok := g.U.Ctors.Lookup("ret"); ok {
+		t.Errorf("a clone's constructor leaked into its source")
+	}
+	// The source grows on after the clone: its new names take ids the
+	// clone assigns to other names, and the clone must not see them.
+	g.MustAddEdgeStr("v2", "open(z)", "late")
+	late, _ := g.LookupVertex("late")
+	extra, _ := c.LookupVertex("extra")
+	if late != extra {
+		t.Fatalf("test premise: late=%d extra=%d should share an id", late, extra)
+	}
+	if _, ok := c.LookupVertex("late"); ok {
+		t.Errorf("the clone sees a vertex its source added after the clone")
+	}
+	if _, ok := c.U.Syms.Lookup("z"); ok {
+		t.Errorf("the clone sees a symbol its source added after the clone")
+	}
+	if v := c.Vertex("late"); int(v) != c.NumVertices()-1 || c.VertexName(v) != "late" {
+		t.Errorf("interning into the clone: id %d of %d", v, c.NumVertices())
+	}
+}
+
 func TestReachable(t *testing.T) {
 	g := MustReadString(figure1)
 	seen := g.Reachable(g.Start())

@@ -2,7 +2,7 @@ package label
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -114,16 +114,14 @@ func (c *CTerm) finish() {
 		a.finish()
 	}
 	c.size = 1
-	set := map[int32]bool{}
+	var ps []int32
 	switch c.Kind {
 	case KParam:
-		set[c.Param] = true
+		ps = append(ps, c.Param)
 	case KNeg:
 		inner := c.Args[0]
 		c.size += inner.size
-		for _, p := range inner.params {
-			set[p] = true
-		}
+		ps = append(ps, inner.params...)
 		c.numNegParams = inner.numNegParams
 		if len(inner.params) > 0 {
 			c.numNegParams++
@@ -132,21 +130,17 @@ func (c *CTerm) finish() {
 	case KApp, KOr:
 		for _, a := range c.Args {
 			c.size += a.size
-			for _, p := range a.params {
-				set[p] = true
-			}
+			ps = append(ps, a.params...)
 			c.numNegParams += a.numNegParams
 			c.nestedNeg = c.nestedNeg || a.nestedNeg
 		}
 	}
-	c.params = make([]int32, 0, len(set))
-	for p := range set {
-		c.params = append(c.params, p)
+	slices.Sort(ps)
+	c.params = slices.Compact(ps)
+	if c.params == nil {
+		c.params = []int32{}
 	}
-	sort.Slice(c.params, func(i, j int) bool { return c.params[i] < c.params[j] })
-	var b strings.Builder
-	c.writeKey(&b)
-	c.key = b.String()
+	c.key = string(c.appendKey(make([]byte, 0, 64)))
 }
 
 // containsNeg reports whether a negation node occurs anywhere in the term.
@@ -162,41 +156,41 @@ func (c *CTerm) containsNeg() bool {
 	return false
 }
 
-func (c *CTerm) writeKey(b *strings.Builder) {
+func (c *CTerm) appendKey(b []byte) []byte {
 	switch c.Kind {
 	case KApp:
-		b.WriteByte('a')
-		b.WriteString(strconv.Itoa(int(c.Ctor)))
-		b.WriteByte('(')
+		b = append(b, 'a')
+		b = strconv.AppendInt(b, int64(c.Ctor), 10)
+		b = append(b, '(')
 		for i, a := range c.Args {
 			if i > 0 {
-				b.WriteByte(',')
+				b = append(b, ',')
 			}
-			a.writeKey(b)
+			b = a.appendKey(b)
 		}
-		b.WriteByte(')')
+		b = append(b, ')')
 	case KSym:
-		b.WriteByte('s')
-		b.WriteString(strconv.Itoa(int(c.Sym)))
+		b = append(b, 's')
+		b = strconv.AppendInt(b, int64(c.Sym), 10)
 	case KParam:
-		b.WriteByte('p')
-		b.WriteString(strconv.Itoa(int(c.Param)))
+		b = append(b, 'p')
+		b = strconv.AppendInt(b, int64(c.Param), 10)
 	case KWildcard:
-		b.WriteByte('w')
+		b = append(b, 'w')
 	case KNeg:
-		b.WriteByte('!')
-		c.Args[0].writeKey(b)
+		b = append(b, '!')
+		b = c.Args[0].appendKey(b)
 	case KOr:
-		b.WriteByte('o')
-		b.WriteByte('(')
+		b = append(b, 'o', '(')
 		for i, a := range c.Args {
 			if i > 0 {
-				b.WriteByte('|')
+				b = append(b, '|')
 			}
-			a.writeKey(b)
+			b = a.appendKey(b)
 		}
-		b.WriteByte(')')
+		b = append(b, ')')
 	}
+	return b
 }
 
 // NegOr builds the compiled label ¬(a1|a2|…) from already compiled

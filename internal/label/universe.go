@@ -10,6 +10,8 @@
 // in any argument position or at the top level.
 package label
 
+import "slices"
+
 // NoSym is the sentinel for "no symbol" / "unbound".
 const NoSym int32 = -1
 
@@ -18,15 +20,24 @@ const NoSym int32 = -1
 type Interner struct {
 	byName map[string]int32
 	names  []string
+	// A clone resolves the keys below base through its parent's table,
+	// which it reads but never writes (see Clone).
+	parent *Interner
+	base   int32
 }
 
 // Intern returns the key for name, assigning a fresh key if needed.
 func (in *Interner) Intern(name string) int32 {
-	if in.byName == nil {
-		in.byName = make(map[string]int32)
-	}
 	if k, ok := in.byName[name]; ok {
 		return k
+	}
+	if in.parent != nil {
+		if k, ok := in.parent.Lookup(name); ok && k < in.base {
+			return k
+		}
+	}
+	if in.byName == nil {
+		in.byName = make(map[string]int32)
 	}
 	k := int32(len(in.names))
 	in.byName[name] = k
@@ -36,8 +47,15 @@ func (in *Interner) Intern(name string) int32 {
 
 // Lookup returns the key for name and whether it has been interned.
 func (in *Interner) Lookup(name string) (int32, bool) {
-	k, ok := in.byName[name]
-	return k, ok
+	if k, ok := in.byName[name]; ok {
+		return k, true
+	}
+	if in.parent != nil {
+		if k, ok := in.parent.Lookup(name); ok && k < in.base {
+			return k, true
+		}
+	}
+	return 0, false
 }
 
 // Name returns the string for key k. It panics if k was never assigned.
@@ -50,6 +68,26 @@ func (in *Interner) Len() int { return len(in.names) }
 // owned by the interner and must not be modified.
 func (in *Interner) Names() []string { return in.names }
 
+// Grow reserves room for n more names, so interning them does not
+// rehash the lookup map.
+func (in *Interner) Grow(n int) {
+	if in.byName == nil {
+		in.byName = make(map[string]int32, n)
+	}
+	in.names = slices.Grow(in.names, n)
+}
+
+// Clone returns an interner holding in's keys that interns further names
+// apart from in, in O(1): it copies no table and re-interns no name. The
+// clone shares in's names slice with its capacity clipped, so its own
+// appends reallocate and in's land past its length; it looks up the keys
+// in held at the clone through in's table, ignoring any key in assigns
+// later. The clone therefore reads in: in must not be written while
+// another goroutine uses the clone.
+func (in *Interner) Clone() Interner {
+	return Interner{names: slices.Clip(in.names), parent: in, base: int32(len(in.names))}
+}
+
 // Universe interns the constructor names and symbol names shared between a
 // graph and the patterns queried against it. Patterns are compiled against
 // the universe of the graph they will run on, so that symbol keys agree.
@@ -60,6 +98,12 @@ type Universe struct {
 
 // NewUniverse returns an empty universe.
 func NewUniverse() *Universe { return &Universe{} }
+
+// Clone returns a universe with the same constructor and symbol keys that
+// grows independently of u.
+func (u *Universe) Clone() *Universe {
+	return &Universe{Ctors: u.Ctors.Clone(), Syms: u.Syms.Clone()}
+}
 
 // NumSymbols reports the number of distinct symbols interned, which is the
 // "symbs" quantity of the paper's complexity analysis (Figure 2).
